@@ -15,27 +15,6 @@ cargo fmt --check
 echo "==> cargo clippy (workspace, all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo clippy -p dial-lint (warnings are errors)"
-cargo clippy -p dial-lint --all-targets -- -D warnings
-
-echo "==> cargo clippy -p dial-par (warnings are errors)"
-cargo clippy -p dial-par --all-targets -- -D warnings
-
-echo "==> cargo clippy -p dial-fault (warnings are errors)"
-cargo clippy -p dial-fault --all-targets -- -D warnings
-
-echo "==> cargo clippy -p dial-stream (warnings are errors)"
-cargo clippy -p dial-stream --all-targets -- -D warnings
-
-echo "==> cargo clippy -p dial-store (warnings are errors)"
-cargo clippy -p dial-store --all-targets -- -D warnings
-
-echo "==> cargo clippy -p dial-replicate (warnings are errors)"
-cargo clippy -p dial-replicate --all-targets -- -D warnings
-
-echo "==> cargo clippy -p dial-scenario (warnings are errors)"
-cargo clippy -p dial-scenario --all-targets -- -D warnings
-
 echo "==> cargo build --release"
 cargo build --release
 

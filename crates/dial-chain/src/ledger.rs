@@ -1,6 +1,7 @@
 //! The append-only transaction ledger and the verification query.
 
-use dial_time::Timestamp;
+use dial_model::fingerprint::EraDigest;
+use dial_time::{Era, Timestamp};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -39,7 +40,8 @@ pub enum Verdict {
 /// agreement and settlement), so a 10% band is used.
 pub const CONFIRM_TOLERANCE: f64 = 0.10;
 
-/// A deterministic, append-only ledger with hash and address indexes.
+/// A deterministic, append-only ledger with hash and address indexes and
+/// a per-era content digest of its transactions.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Ledger {
     txs: Vec<ChainTx>,
@@ -47,6 +49,9 @@ pub struct Ledger {
     by_hash: HashMap<String, usize>,
     #[serde(skip)]
     by_address: HashMap<String, Vec<usize>>,
+    /// Per-era content hashes of `txs`, by confirmation date.
+    #[serde(skip)]
+    digest: EraDigest<1>,
 }
 
 impl Ledger {
@@ -60,36 +65,47 @@ impl Ledger {
     /// # Panics
     /// Panics if the hash already exists — txids are unique by construction.
     pub fn insert(&mut self, tx: ChainTx) {
+        let duplicate = self.take_in(tx);
+        assert!(!duplicate, "duplicate tx hash {}", self.txs[self.txs.len() - 1].hash);
+    }
+
+    /// Rebuilds indexes and the content digest after deserialisation.
+    pub fn reindex(self) -> Self {
+        let mut ledger = Self::new();
+        for tx in self.txs {
+            ledger.take_in(tx);
+        }
+        ledger
+    }
+
+    /// Indexes, hashes and stores `tx` — the one path every transaction
+    /// enters by. Returns whether its hash was already indexed.
+    fn take_in(&mut self, tx: ChainTx) -> bool {
         let idx = self.txs.len();
-        let prev = self.by_hash.insert(tx.hash.clone(), idx);
-        assert!(prev.is_none(), "duplicate tx hash {}", tx.hash);
+        let duplicate = self.by_hash.insert(tx.hash.clone(), idx).is_some();
         self.by_address.entry(tx.to_address.clone()).or_default().push(idx);
+        self.digest.fold(0, tx.confirmed_at.date(), &tx);
         self.txs.push(tx);
+        duplicate
     }
 
-    /// Rebuilds indexes after deserialisation.
-    pub fn reindex(mut self) -> Self {
-        self.by_hash.clear();
-        self.by_address.clear();
-        for (idx, tx) in self.txs.iter().enumerate() {
-            self.by_hash.insert(tx.hash.clone(), idx);
-            self.by_address.entry(tx.to_address.clone()).or_default().push(idx);
-        }
-        self
-    }
-
-    /// A stable content fingerprint: FNV-1a over the canonical JSON
-    /// serialisation (transactions only — the indexes are rebuildable).
-    /// Used alongside `Dataset::fingerprint` to key snapshot-scoped
-    /// caches.
+    /// A stable content fingerprint, combined in O(1) from the per-era
+    /// FNV-1a hashes of every transaction's canonical JSON. Used alongside
+    /// `Dataset::fingerprint` to key snapshot-scoped caches.
+    ///
+    /// # Panics
+    /// Panics on a ledger deserialised without [`Ledger::reindex`].
     pub fn fingerprint(&self) -> u64 {
-        let json = serde_json::to_string(self).expect("ledger serialises");
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in json.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        self.digest.verified([self.txs.len()]).whole()
+    }
+
+    /// The fingerprint of the transactions confirmed in `era` (dates
+    /// outside the study eras clamp to the nearest one).
+    ///
+    /// # Panics
+    /// Panics on a ledger deserialised without [`Ledger::reindex`].
+    pub fn era_fingerprint(&self, era: Era) -> u64 {
+        self.digest.verified([self.txs.len()]).era(era)
     }
 
     /// Number of transactions recorded.
@@ -270,5 +286,13 @@ mod tests {
         });
         assert_ne!(grown.fingerprint(), fp);
         assert_ne!(Ledger::new().fingerprint(), fp);
+    }
+
+    #[test]
+    #[should_panic(expected = "reindex() after deserialising")]
+    fn fingerprint_refuses_a_ledger_deserialised_without_reindex() {
+        let json = serde_json::to_string(&ledger()).unwrap();
+        let raw: Ledger = serde_json::from_str(&json).unwrap();
+        raw.fingerprint();
     }
 }

@@ -1,6 +1,7 @@
 //! The dataset container and its query API.
 
 use crate::contract::{Contract, ContractStatus, ContractType};
+use crate::fingerprint::EraDigest;
 use crate::ids::{ContractId, ThreadId, UserId};
 use crate::social::{Post, Thread, User};
 use dial_time::{Era, YearMonth};
@@ -11,9 +12,9 @@ use std::collections::{BTreeMap, HashMap};
 /// HACK FORUMS contract dump.
 ///
 /// Entities are stored densely (entity `i` has id `i`), which the
-/// constructor verifies. Secondary indexes (per-user contract lists,
-/// per-month buckets) are built once at construction and shared by all
-/// pipelines.
+/// constructor verifies. Secondary indexes (per-user contract lists) and
+/// the content digest behind [`Dataset::fingerprint`] are extended as
+/// entities are taken in and shared by all pipelines.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Dataset {
     users: Vec<User>,
@@ -26,10 +27,31 @@ pub struct Dataset {
     /// contracts offered to each user, in id order.
     #[serde(skip)]
     by_taker: HashMap<UserId, Vec<ContractId>>,
+    /// Per-(era, kind) content hashes, kinds indexed by the `*_KIND`
+    /// constants.
+    #[serde(skip)]
+    digest: EraDigest<4>,
+}
+
+const USER_KIND: usize = 0;
+const CONTRACT_KIND: usize = 1;
+const THREAD_KIND: usize = 2;
+const POST_KIND: usize = 3;
+
+/// Moves `more` onto the end of `into`, adopting its allocation when
+/// `into` is empty (a batch build) instead of copying it.
+fn extend<T>(into: &mut Vec<T>, more: Vec<T>) {
+    if into.is_empty() {
+        *into = more;
+    } else {
+        into.extend(more);
+    }
 }
 
 impl Dataset {
-    /// Assembles a dataset and builds the secondary indexes.
+    /// Assembles a dataset and builds the secondary indexes and the
+    /// content digest. This is [`Dataset::append`] onto an empty dataset,
+    /// so a batch build and any sequence of appends share one code path.
     ///
     /// # Panics
     /// Panics if ids are not dense (`entity[i].id != i`) or if a contract
@@ -40,47 +62,31 @@ impl Dataset {
         threads: Vec<Thread>,
         posts: Vec<Post>,
     ) -> Self {
-        for (i, u) in users.iter().enumerate() {
-            assert_eq!(u.id.index(), i, "user ids must be dense");
-        }
-        for (i, c) in contracts.iter().enumerate() {
-            assert_eq!(c.id.index(), i, "contract ids must be dense");
-            assert!(c.maker.index() < users.len(), "maker out of range");
-            assert!(c.taker.index() < users.len(), "taker out of range");
-            if let Some(t) = c.thread {
-                assert!(t.index() < threads.len(), "thread out of range");
-            }
-        }
-        for (i, t) in threads.iter().enumerate() {
-            assert_eq!(t.id.index(), i, "thread ids must be dense");
-        }
-        for (i, p) in posts.iter().enumerate() {
-            assert_eq!(p.id.index(), i, "post ids must be dense");
-            assert!(p.thread.index() < threads.len(), "post thread out of range");
-            assert!(p.author.index() < users.len(), "post author out of range");
-        }
-
-        let mut by_maker: HashMap<UserId, Vec<ContractId>> = HashMap::new();
-        let mut by_taker: HashMap<UserId, Vec<ContractId>> = HashMap::new();
-        for c in &contracts {
-            by_maker.entry(c.maker).or_default().push(c.id);
-            by_taker.entry(c.taker).or_default().push(c.id);
-        }
-
-        Self { users, contracts, threads, posts, by_maker, by_taker }
+        let mut ds = Self {
+            users: Vec::new(),
+            contracts: Vec::new(),
+            threads: Vec::new(),
+            posts: Vec::new(),
+            by_maker: HashMap::new(),
+            by_taker: HashMap::new(),
+            digest: EraDigest::default(),
+        };
+        ds.append(users, contracts, threads, posts);
+        ds
     }
 
-    /// Rebuilds the (non-serialised) secondary indexes after deserialising.
+    /// Rebuilds the (non-serialised) secondary indexes and content digest
+    /// after deserialising.
     pub fn reindex(self) -> Self {
         Self::new(self.users, self.contracts, self.threads, self.posts)
     }
 
     /// Applies a delta: appends new entities in id order and extends the
-    /// secondary indexes incrementally, without rebuilding what is already
-    /// indexed. This is the streaming counterpart of [`Dataset::new`] — a
-    /// dataset grown through a sequence of `append`s is structurally
-    /// identical (same serialisation, same [`Dataset::fingerprint`]) to one
-    /// built in a single batch from the concatenated vectors.
+    /// secondary indexes and the content digest incrementally, serialising
+    /// each new entity once and nothing already taken in. A dataset grown
+    /// through a sequence of `append`s is structurally identical (same
+    /// serialisation, same whole and per-era fingerprints) to one built
+    /// in a single batch from the concatenated vectors.
     ///
     /// # Panics
     /// Panics if the new ids do not continue densely from the current
@@ -97,14 +103,10 @@ impl Dataset {
         let n_users = self.users.len() + users.len();
         let n_threads = self.threads.len() + threads.len();
         for (i, u) in users.iter().enumerate() {
-            assert_eq!(u.id.index(), self.users.len() + i, "appended user ids must stay dense");
+            assert_eq!(u.id.index(), self.users.len() + i, "user ids must be dense");
         }
         for (i, c) in contracts.iter().enumerate() {
-            assert_eq!(
-                c.id.index(),
-                self.contracts.len() + i,
-                "appended contract ids must stay dense"
-            );
+            assert_eq!(c.id.index(), self.contracts.len() + i, "contract ids must be dense");
             assert!(c.maker.index() < n_users, "maker out of range");
             assert!(c.taker.index() < n_users, "taker out of range");
             if let Some(t) = c.thread {
@@ -112,22 +114,32 @@ impl Dataset {
             }
         }
         for (i, t) in threads.iter().enumerate() {
-            assert_eq!(t.id.index(), self.threads.len() + i, "appended thread ids must stay dense");
+            assert_eq!(t.id.index(), self.threads.len() + i, "thread ids must be dense");
         }
         for (i, p) in posts.iter().enumerate() {
-            assert_eq!(p.id.index(), self.posts.len() + i, "appended post ids must stay dense");
+            assert_eq!(p.id.index(), self.posts.len() + i, "post ids must be dense");
             assert!(p.thread.index() < n_threads, "post thread out of range");
             assert!(p.author.index() < n_users, "post author out of range");
         }
 
+        for u in &users {
+            self.digest.fold(USER_KIND, u.joined, u);
+        }
         for c in &contracts {
             self.by_maker.entry(c.maker).or_default().push(c.id);
             self.by_taker.entry(c.taker).or_default().push(c.id);
+            self.digest.fold(CONTRACT_KIND, c.created.date(), c);
         }
-        self.users.extend(users);
-        self.contracts.extend(contracts);
-        self.threads.extend(threads);
-        self.posts.extend(posts);
+        for t in &threads {
+            self.digest.fold(THREAD_KIND, t.created.date(), t);
+        }
+        for p in &posts {
+            self.digest.fold(POST_KIND, p.at.date(), p);
+        }
+        extend(&mut self.users, users);
+        extend(&mut self.contracts, contracts);
+        extend(&mut self.threads, threads);
+        extend(&mut self.posts, posts);
     }
 
     /// All members.
@@ -160,14 +172,32 @@ impl Dataset {
         &self.contracts[id.index()]
     }
 
-    /// A stable content fingerprint: FNV-1a over the canonical JSON
-    /// serialisation (which covers every entity but not the rebuildable
-    /// indexes). Two datasets fingerprint equal iff their serialised
-    /// content is identical, so the value is safe to use as a cache key
-    /// across process restarts.
+    /// A stable content fingerprint, combined in O(1) from the per-(era,
+    /// kind) FNV-1a hashes of every entity's canonical JSON (see
+    /// [`crate::fingerprint`]). Two datasets fingerprint equal iff their
+    /// entities serialise identically, so the value is safe to use as a
+    /// cache key across process restarts.
+    ///
+    /// # Panics
+    /// Panics on a dataset deserialised without [`Dataset::reindex`].
     pub fn fingerprint(&self) -> u64 {
-        let json = serde_json::to_string(self).expect("dataset serialises");
-        fnv1a(json.as_bytes())
+        self.digest().whole()
+    }
+
+    /// The fingerprint of the entities whose own timestamp falls in `era`
+    /// (clamped, see [`crate::fingerprint::era_of_clamped`]): members by
+    /// join date, contracts and threads by creation, posts by posting time.
+    ///
+    /// # Panics
+    /// Panics on a dataset deserialised without [`Dataset::reindex`].
+    pub fn era_fingerprint(&self, era: Era) -> u64 {
+        self.digest().era(era)
+    }
+
+    fn digest(&self) -> &EraDigest<4> {
+        // Lengths in `*_KIND` order.
+        let lens = [self.users.len(), self.contracts.len(), self.threads.len(), self.posts.len()];
+        self.digest.verified(lens)
     }
 
     /// Looks up a thread by id.
@@ -252,16 +282,6 @@ impl Dataset {
     }
 }
 
-/// 64-bit FNV-1a, the hash behind [`Dataset::fingerprint`].
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,11 +358,22 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "reindex() after deserialising")]
+    fn fingerprint_refuses_a_dataset_deserialised_without_reindex() {
+        let json = serde_json::to_string(&tiny_dataset()).unwrap();
+        let raw: Dataset = serde_json::from_str(&json).unwrap();
+        raw.fingerprint();
+    }
+
+    #[test]
     fn append_matches_batch_construction() {
         let batch = tiny_dataset();
         let mut grown = Dataset::new(vec![batch.users()[0].clone()], vec![], vec![], vec![]);
         grown.append(vec![batch.users()[1].clone()], batch.contracts().to_vec(), vec![], vec![]);
         assert_eq!(grown.fingerprint(), batch.fingerprint());
+        for era in Era::ALL {
+            assert_eq!(grown.era_fingerprint(era), batch.era_fingerprint(era));
+        }
         assert_eq!(grown.contracts_made_by(UserId(0)).count(), 1);
         assert_eq!(grown.contracts_offered_to(UserId(1)).count(), 1);
     }

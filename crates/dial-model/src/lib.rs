@@ -23,10 +23,12 @@
 pub mod contract;
 pub mod dataset;
 pub mod export;
+pub mod fingerprint;
 pub mod ids;
 pub mod social;
 
 pub use contract::{ChainRef, Contract, ContractStatus, ContractType, Visibility};
 pub use dataset::Dataset;
+pub use fingerprint::ContentHash;
 pub use ids::{ContractId, PostId, ThreadId, UserId};
 pub use social::{Post, Thread, User};

@@ -7,6 +7,7 @@
 //! and its FNV fingerprint is a meaningful cache/CI key.
 
 use crate::parse::{Intervention, Scenario};
+use dial_model::ContentHash;
 use dial_sim::SecondMarketReport;
 use dial_time::Era;
 use std::fmt::Write as _;
@@ -111,7 +112,7 @@ impl Comparison {
         out.push('}');
         // The fingerprint of everything above is the document's identity:
         // two runs agree on the diff iff they agree on this.
-        let _ = write!(out, ",\"diff_fingerprint\":\"{:016x}\"}}", fnv1a(out.as_bytes()));
+        let _ = write!(out, ",\"diff_fingerprint\":\"{:016x}\"}}", ContentHash::of(out.as_bytes()));
         out
     }
 
@@ -234,7 +235,7 @@ pub fn interventions_json(interventions: &[Intervention]) -> String {
 pub fn scenario_fingerprint(s: &Scenario) -> String {
     let payload =
         format!("{}|{}|{}|{}", s.name, s.seed, s.scale, interventions_json(&s.interventions));
-    format!("{:016x}", fnv1a(payload.as_bytes()))
+    format!("{:016x}", ContentHash::of(payload.as_bytes()))
 }
 
 fn describe(iv: &Intervention) -> String {
@@ -283,16 +284,6 @@ fn json_str(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-/// FNV-1a 64-bit — the workspace's shared content-fingerprint hash.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

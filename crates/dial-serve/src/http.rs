@@ -115,6 +115,34 @@ pub struct Server {
     accept_handle: Option<JoinHandle<()>>,
 }
 
+/// One count in a server's in-flight connection gauge, released on drop:
+/// when the connection thread finishes, when it unwinds from a panic, and
+/// when it never runs because its `spawn` failed. A graceful drain waits
+/// for the gauge to reach zero, so a leaked count would make every drain
+/// wait out the full `drain_timeout`.
+struct ConnSlot(Arc<AtomicUsize>);
+
+impl Drop for ConnSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Counts one connection in `active` and returns `body` wrapped to hold
+/// that count until it returns or unwinds — or until the wrapper is
+/// dropped without running.
+fn counted(
+    active: &Arc<AtomicUsize>,
+    body: impl FnOnce() + Send + 'static,
+) -> impl FnOnce() + Send + 'static {
+    active.fetch_add(1, Ordering::SeqCst);
+    let slot = ConnSlot(Arc::clone(active));
+    move || {
+        let _slot = slot;
+        body();
+    }
+}
+
 impl Server {
     /// Binds, spawns the accept loop, and returns immediately.
     pub fn start(engine: Arc<Engine>, cfg: &ServeConfig) -> std::io::Result<Self> {
@@ -137,15 +165,11 @@ impl Server {
                     let Ok(stream) = conn else { continue };
                     let engine = Arc::clone(&engine);
                     let draining = Arc::clone(&draining);
-                    let active = Arc::clone(&active);
                     let cfg = Arc::clone(&cfg);
-                    active.fetch_add(1, Ordering::SeqCst);
-                    let _ = std::thread::Builder::new().name("dial-serve-conn".into()).spawn(
-                        move || {
-                            let _ = handle_connection(stream, &engine, &cfg, &draining);
-                            active.fetch_sub(1, Ordering::SeqCst);
-                        },
-                    );
+                    let task = counted(&active, move || {
+                        let _ = handle_connection(stream, &engine, &cfg, &draining);
+                    });
+                    let _ = std::thread::Builder::new().name("dial-serve-conn".into()).spawn(task);
                 }
             })?
         };
@@ -1322,4 +1346,26 @@ fn respond(stream: &mut TcpStream, engine: &Engine, response: &Response) -> std:
     stream.write_all(head.as_bytes())?;
     stream.write_all(payload)?;
     stream.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_connection_task_releases_its_count_unrun_or_unwound() {
+        let active = Arc::new(AtomicUsize::new(0));
+        // A failed `spawn` drops the task without running it.
+        let task = counted(&active, || {});
+        assert_eq!(active.load(Ordering::SeqCst), 1);
+        drop(task);
+        assert_eq!(active.load(Ordering::SeqCst), 0);
+
+        let task = counted(&active, || panic!("connection handler panicked"));
+        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)).is_err());
+        assert_eq!(active.load(Ordering::SeqCst), 0);
+
+        counted(&active, || {})();
+        assert_eq!(active.load(Ordering::SeqCst), 0);
+    }
 }

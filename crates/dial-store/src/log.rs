@@ -15,8 +15,10 @@
 //! # Recovery state machine
 //!
 //! 1. Manifest: parse, check version and `(seed, lca_classes)` identity.
-//! 2. Checkpoint (if named by the manifest): parse, reindex, recompute the
-//!    prefix fingerprint, and reject the store if it disagrees.
+//!    Another format version is refused before anything is written.
+//! 2. Checkpoint (if named by the manifest): parse, reindex (which
+//!    rehashes every entity), recompute the prefix fingerprint, and
+//!    reject the store if it disagrees.
 //! 3. Scan every segment in name order, collecting post-checkpoint
 //!    `(events, seal)` batches; truncate at the first invalid frame.
 //! 4. Validate seal contiguity: kept batches must run `ckpt+1, ckpt+2, …`.
@@ -36,8 +38,12 @@ use crate::backend::StoreEngine;
 use crate::frame::{self, KIND_EVENT, KIND_SEAL};
 use crate::{StoreError, StoreOptions};
 
-const MANIFEST_VERSION: u32 = 1;
-const CHECKPOINT_VERSION: u32 = 1;
+/// Store format versions. Version 2 changed how the dataset and ledger
+/// fingerprints in seal records, checkpoint names and sync manifests are
+/// computed, so a version-1 store is refused rather than failing its
+/// fingerprint proofs.
+const MANIFEST_VERSION: u32 = 2;
+const CHECKPOINT_VERSION: u32 = 2;
 
 fn corrupt(detail: String) -> StoreError {
     StoreError::Corrupt { detail }
@@ -179,8 +185,9 @@ pub struct SyncManifest {
     pub epoch: u64,
 }
 
-/// Sync protocol version served in [`SyncManifest`].
-pub const SYNC_MANIFEST_VERSION: u32 = 1;
+/// Sync protocol version served in [`SyncManifest`]; it moves with the
+/// store format because the manifest carries a seal fingerprint.
+pub const SYNC_MANIFEST_VERSION: u32 = 2;
 
 /// Where one sealed batch lives on disk: the frames from the end of the
 /// previous seal record through this batch's own seal record.
@@ -268,7 +275,11 @@ impl SegmentLog {
                 let m: Manifest = serde_json::from_str(&json)
                     .map_err(|e| corrupt(format!("manifest does not parse: {e}")))?;
                 if m.version != MANIFEST_VERSION {
-                    return Err(corrupt(format!("manifest version {} unsupported", m.version)));
+                    return Err(StoreError::UnsupportedVersion {
+                        what: "manifest",
+                        found: m.version,
+                        supported: MANIFEST_VERSION,
+                    });
                 }
                 if m.seed != opts.seed || m.lca_classes != opts.lca_classes {
                     return Err(StoreError::Mismatch {
@@ -303,7 +314,11 @@ impl SegmentLog {
                 let c: Checkpoint = serde_json::from_str(&json)
                     .map_err(|e| corrupt(format!("checkpoint {name} does not parse: {e}")))?;
                 if c.version != CHECKPOINT_VERSION {
-                    return Err(corrupt(format!("checkpoint version {} unsupported", c.version)));
+                    return Err(StoreError::UnsupportedVersion {
+                        what: "checkpoint",
+                        found: c.version,
+                        supported: CHECKPOINT_VERSION,
+                    });
                 }
                 Some(c)
             }

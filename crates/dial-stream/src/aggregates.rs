@@ -14,7 +14,6 @@
 //! asserts equality against `type_mix_series`, `public_share_by_month`,
 //! `visibility_table`, `completion_series` and `key_share_series`.
 
-use crate::event::Event;
 use dial_model::{Contract, ContractType, ThreadId, UserId};
 use dial_time::{MonthlySeries, StudyWindow, YearMonth};
 use std::collections::HashMap;
@@ -87,16 +86,10 @@ impl StreamAggregates {
         }
     }
 
-    /// Applies one event. Only contract events move these aggregates —
+    /// Applies one sealed contract. Only contracts move these aggregates —
     /// member, thread, post and chain records feed the dataset (and other
     /// pipelines) but none of the figures maintained here.
-    pub fn apply(&mut self, event: &Event) {
-        if let Event::ContractCreated { contract } = event {
-            self.apply_contract(contract);
-        }
-    }
-
-    fn apply_contract(&mut self, c: &Contract) {
+    pub fn apply_contract(&mut self, c: &Contract) {
         let ti = type_idx(c.contract_type);
         let vis =
             if c.is_public() { &mut self.vis_created[ti].1 } else { &mut self.vis_created[ti].0 };

@@ -8,10 +8,13 @@
 //! prefix, applies the delta to the incremental aggregates and to the
 //! dataset, and fingerprints the result.
 //!
+//! A seal costs O(delta), not O(history): `Dataset::append` and
+//! `Ledger::insert` hash each new entity once into per-(era, kind)
+//! accumulators, and the seal's fingerprint combines those in O(1).
 //! Because the sealed prefix after watermark *m* contains exactly the
 //! entities the batch generator had produced after month *m*, in the same
-//! id order, its serialisation — and therefore its FNV fingerprint — is
-//! byte-identical to `Dataset::new` over that generation prefix. That is
+//! id order, those accumulators — and therefore the fingerprint — equal
+//! the ones `Dataset::new` builds over that generation prefix. That is
 //! the equivalence `tests/stream_equivalence.rs` enforces.
 //!
 //! A seal is staged: all validation (and the `seal_panic` fault hook)
@@ -165,7 +168,7 @@ impl StreamEngine {
     pub fn from_sealed(dataset: Dataset, ledger: Ledger, seals: Vec<SealDelta>) -> Self {
         let mut aggregates = StreamAggregates::new();
         for contract in dataset.contracts() {
-            aggregates.apply(&Event::ContractCreated { contract: contract.clone() });
+            aggregates.apply_contract(contract);
         }
         Self {
             dataset,
@@ -319,7 +322,7 @@ impl StreamEngine {
             chain_txs: self.pend_txs.len() as u64,
         };
         for c in &self.pend_contracts {
-            self.aggregates.apply(&Event::ContractCreated { contract: c.clone() });
+            self.aggregates.apply_contract(c);
         }
         self.dataset.append(
             std::mem::take(&mut self.pend_users),
@@ -331,10 +334,6 @@ impl StreamEngine {
             self.ledger.insert(tx);
         }
 
-        // The two fingerprints are independent full serialisations; fan
-        // them out on the shared pool like the batch pipelines do.
-        let (ds_fp, ledger_fp) =
-            dial_par::join(|| self.dataset.fingerprint(), || self.ledger.fingerprint());
         let era = Era::of_month(month);
         let prev_era = self.seals.last().map(|s| s.era).unwrap_or(None);
         let era_transition = (self.seals.is_empty() || prev_era != era).then_some(EraTransition {
@@ -354,7 +353,11 @@ impl StreamEngine {
                 posts: self.dataset.posts().len() as u64,
                 chain_txs: self.ledger.len() as u64,
             },
-            fingerprint: format!("{ds_fp:016x}-{ledger_fp:016x}"),
+            fingerprint: format!(
+                "{:016x}-{:016x}",
+                self.dataset.fingerprint(),
+                self.ledger.fingerprint()
+            ),
             month_created_by_type: self.aggregates.month_counts(month).0,
             month_completed_by_type: self.aggregates.month_counts(month).1,
             month_public_share: self.aggregates.month_public_share(month),
