@@ -5,8 +5,11 @@
 # Gate order is cheapest-first so failures surface early: formatting and
 # clippy, then the release build, then `dial lint` (the in-tree static
 # analyser — seconds, and its determinism rules guard exactly what the
-# multi-minute equivalence suites diff), then the unit/integration tests,
-# and only then the slow byte-equivalence and chaos suites.
+# multi-minute equivalence suites diff), then the whole test suite, then
+# the scenario determinism gate and the bench smokes. The root package is
+# a workspace member, so `cargo test --workspace` already runs its slow
+# suites (parallel/stream equivalence, chaos, store recovery,
+# replication, failover, scenario); they get no steps of their own.
 set -eu
 
 echo "==> cargo fmt --check"
@@ -30,27 +33,6 @@ echo "==> dial lint --allows (suppression ledger; stale allows fail the gate)"
 
 echo "==> cargo test -q (workspace)"
 cargo test -q --workspace
-
-echo "==> serial/parallel byte-equivalence (all registry experiments)"
-cargo test -q --test parallel_equivalence
-
-echo "==> batch/stream byte-equivalence (sealed fingerprints + analyze bodies)"
-cargo test -q --test stream_equivalence
-
-echo "==> chaos suite (fault injection, deadlines, graceful drain)"
-cargo test -q --test chaos
-
-echo "==> crash-recovery suite (SIGKILL + torn-write store recovery)"
-cargo test -q --test store_recovery
-
-echo "==> replication suite (leader/follower sync, router, stale serving)"
-cargo test -q --test replication
-
-echo "==> failover chaos suite (SIGKILL promotion, netsplit fencing, epoch properties)"
-cargo test -q --test failover
-
-echo "==> scenario suite (parser fixtures, identity diff, width determinism, /v1/scenario bytes)"
-cargo test -q --test scenario
 
 echo "==> scenario determinism gate (two CLI runs of the shipped example are byte-identical)"
 ./target/release/dial scenario check examples/mandate_flip.scn

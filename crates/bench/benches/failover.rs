@@ -17,8 +17,8 @@
 //! alongside `BENCH_replicate.json`.
 
 use criterion::{criterion_group, Criterion};
-use dial_replicate::{httpc, Router, RouterConfig, SyncRunner};
-use dial_serve::{Engine, Role, ServeConfig, Server};
+use dial_replicate::{Router, RouterConfig, SyncRunner};
+use dial_serve::{httpc, Engine, Role, ServeConfig, Server};
 use dial_sim::SimConfig;
 use dial_store::{MemBackend, SegmentLog, StoreOptions};
 use dial_stream::{encode_ndjson, segments};

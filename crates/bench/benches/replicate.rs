@@ -15,8 +15,8 @@
 //! alongside `BENCH_store.json` and `BENCH_stream.json`.
 
 use criterion::{criterion_group, Criterion};
-use dial_replicate::{httpc, rank_replicas};
-use dial_serve::{Engine, EraScope, Role, ServeConfig, ServeExperiment, Server};
+use dial_replicate::rank_replicas;
+use dial_serve::{httpc, Engine, EraScope, Role, ServeConfig, ServeExperiment, Server};
 use dial_sim::SimConfig;
 use dial_store::{MemBackend, SegmentLog, StoreOptions};
 use dial_stream::{encode_ndjson, segments};

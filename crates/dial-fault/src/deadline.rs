@@ -4,7 +4,7 @@
 //! parsing; the engine carries it onto the worker that runs the
 //! experiment; `dial-par` re-establishes it on whichever worker executes
 //! each chunk. Long-running code volunteers cancellation by calling
-//! [`checkpoint`] — past the deadline it panics with a recognisable
+//! [`checkpoint`] — past the deadline it unwinds with a recognisable
 //! payload, the nearest `catch_unwind` (every pool chunk and the
 //! engine's run wrapper have one) converts it to a timeout error, and
 //! the pool slot frees immediately instead of burning to completion.
@@ -59,12 +59,14 @@ pub fn with_deadline<R>(deadline: Option<Instant>, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Cooperative cancellation point: past the deadline this panics with
-/// [`DEADLINE_PANIC`], unwinding out of the timed-out work so its pool
-/// slot frees immediately. A no-op when no deadline is set.
+/// Cooperative cancellation point: past the deadline this unwinds with
+/// [`DEADLINE_PANIC`] out of the timed-out work so its pool slot frees
+/// immediately. A no-op when no deadline is set. `resume_unwind` skips
+/// the panic hook, which would otherwise capture a backtrace (under
+/// `RUST_BACKTRACE`) while the job still holds its slot.
 pub fn checkpoint() {
     if expired() {
-        std::panic::panic_any(DEADLINE_PANIC.to_string());
+        std::panic::resume_unwind(Box::new(DEADLINE_PANIC.to_string()));
     }
 }
 

@@ -37,7 +37,7 @@ const DETERMINISTIC_CRATES: &[&str] = &[
 
 /// dial-serve modules on the request path; a panic here kills a worker
 /// mid-request instead of answering 5xx.
-const SERVE_PATH_FILES: &[&str] = &["http.rs", "engine.rs", "cache.rs", "scheduler.rs"];
+const SERVE_PATH_FILES: &[&str] = &["http.rs", "wire.rs", "engine.rs", "cache.rs", "scheduler.rs"];
 
 /// Crates whose loops must cooperate with `dial_fault` deadlines.
 const CHECKPOINT_CRATES: &[&str] = &["dial-serve", "dial-par"];

@@ -306,7 +306,8 @@ impl Pool {
     {
         match self.try_parallel_map(items, f) {
             Ok(out) => out,
-            Err(panicked) => std::panic::panic_any(panicked.message),
+            // Already reported once by the hook; don't run it again.
+            Err(panicked) => std::panic::resume_unwind(Box::new(panicked.message)),
         }
     }
 

@@ -16,8 +16,8 @@
 //!    bodies at the same watermark fall out, they are not a goal to
 //!    approximate.
 //!
-//! Four modules:
-//! - [`httpc`] — the minimal blocking HTTP/1.1 client both sides use.
+//! Three modules, speaking HTTP/1.1 through dial-serve's `wire` (the
+//! router's front door) and `httpc` (every request they send):
 //! - [`sync`] — [`sync::SyncRunner`], the follower's background tailing
 //!   loop over `GET /v1/sync/manifest` + `GET /v1/sync/segment/{seq}`,
 //!   with an SSE nudge that turns a leader seal into an immediate poll.
@@ -37,12 +37,10 @@
 //! every manifest and stamped write fences the old leader out if it
 //! comes back.
 
-pub mod httpc;
 pub mod promote;
 pub mod route;
 pub mod sync;
 
-pub use httpc::{get, get_with_timeout, post, post_with_headers, HttpReply};
 pub use promote::{cluster_epoch, pick_leader, reachable_leader, PeerView};
 pub use route::{rank_replicas, Router, RouterConfig};
 pub use sync::{SyncClient, SyncRunner, STALE_AFTER_FAILURES};
@@ -50,9 +48,12 @@ pub use sync::{SyncClient, SyncRunner, STALE_AFTER_FAILURES};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dial_serve::httpc::{get, post};
     use dial_serve::{Engine, Role, ServeConfig, Server};
     use dial_sim::SimConfig;
     use dial_store::{MemBackend, SegmentLog, StoreOptions};
+    use std::io::{Read, Write};
+    use std::net::{TcpListener, TcpStream};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
@@ -181,6 +182,90 @@ mod tests {
         runner.stop();
         router.stop();
         follower_srv.shutdown();
+    }
+
+    /// A rarely-probing router in front of a port nothing listens on.
+    fn idle_router() -> Router {
+        let closed = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+        let mut cfg = RouterConfig::new(0, closed.to_string(), Vec::new());
+        cfg.probe_interval = Duration::from_secs(60);
+        Router::start(cfg).unwrap()
+    }
+
+    /// A node's `Retry-After` survives the hop: a leader shedding month 0
+    /// with 429 + `Retry-After: 1` is relayed with the same header.
+    #[test]
+    fn router_relays_retry_after_from_the_leader() {
+        // An 8-event pending buffer cannot take a whole month.
+        let leader = Arc::new(Engine::new_live(9, 3, Vec::new(), 1, 4, 8));
+        let leader_srv = Server::start(Arc::clone(&leader), &serve_cfg()).unwrap();
+        let leader_addr = leader_srv.addr().to_string();
+        let router = Router::start(RouterConfig::new(0, leader_addr.clone(), Vec::new())).unwrap();
+        let month0 = month_bodies().swap_remove(0);
+
+        for addr in [leader_addr, router.addr().to_string()] {
+            let reply = post(&addr, "/v1/ingest", month0.as_bytes()).unwrap();
+            assert_eq!(reply.status, 429, "{addr}: {}", reply.text());
+            assert_eq!(reply.header("retry-after"), Some("1"), "{addr} dropped Retry-After");
+        }
+
+        router.stop();
+        leader_srv.shutdown();
+    }
+
+    /// A client dribbling its head at one byte a second is cut off with
+    /// the node's 408 inside the 5 s header window.
+    #[test]
+    fn router_answers_a_slow_loris_head_with_408() {
+        let router = idle_router();
+        let mut sock = TcpStream::connect(router.addr()).unwrap();
+        sock.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+        let started = Instant::now();
+        let mut raw = Vec::new();
+        // Never a whole head: the request line alone, one byte per second
+        // (each read waits out the 1 s timeout) until the router answers.
+        for byte in b"GET /v1/cluster HTTP/1.1\r\n" {
+            if sock.write_all(&[*byte]).is_err() || sock.read_to_end(&mut raw).is_ok() {
+                break;
+            }
+        }
+        let (elapsed, text) = (started.elapsed(), String::from_utf8_lossy(&raw));
+        assert!(text.starts_with("HTTP/1.1 408"), "got {text:?} after {elapsed:?}");
+        assert!(text.contains("\"code\":\"request_timeout\""), "{text}");
+        assert!(elapsed < Duration::from_secs(8), "408 took {elapsed:?}");
+        router.stop();
+    }
+
+    /// A head over the node's 16 KiB cap answers 431 at the router too.
+    #[test]
+    fn router_refuses_an_oversized_head_with_431() {
+        let router = idle_router();
+        let mut sock = TcpStream::connect(router.addr()).unwrap();
+        sock.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let pad = "a".repeat(20_000);
+        let head = format!("GET /v1/cluster HTTP/1.1\r\nHost: x\r\nX-Pad: {pad}\r\n\r\n");
+        sock.write_all(head.as_bytes()).unwrap();
+        let mut raw = String::new();
+        let _ = sock.read_to_string(&mut raw);
+        assert!(raw.starts_with("HTTP/1.1 431"), "oversized head must 431, got {raw:.200}");
+        assert!(raw.contains("\"code\":\"headers_too_large\""), "{raw:.400}");
+        router.stop();
+    }
+
+    /// The router's own errors read exactly like a node's: the same
+    /// envelope, with `detail` an empty object rather than `null`.
+    #[test]
+    fn router_errors_use_the_node_envelope() {
+        let router = idle_router();
+        let mut sock = TcpStream::connect(router.addr()).unwrap();
+        sock.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        sock.write_all(b"DELETE /v1/cluster HTTP/1.1\r\n\r\n").unwrap();
+        let mut raw = String::new();
+        sock.read_to_string(&mut raw).unwrap();
+        assert!(raw.starts_with("HTTP/1.1 405"), "{raw}");
+        assert!(raw.contains("\r\n\r\n{\"error\":{\"code\":\"method_not_allowed\""), "{raw}");
+        assert!(raw.ends_with("\"detail\":{}}}"), "{raw}");
+        router.stop();
     }
 
     /// A follower whose identity differs from the leader's refuses to

@@ -43,14 +43,17 @@
 //! [`crate::promote`]) and asks it to promote itself; the node's own
 //! peer survey re-verifies before the epoch bumps.
 //!
-//! Every proxied exchange is one fresh upstream connection — the same
-//! close-delimited HTTP/1.1 the in-tree server speaks.
+//! The front door is the node's own ([`wire`]: the header window, 408,
+//! 413 and 431, the error envelope, a blocking accept), and every proxied
+//! exchange is one fresh upstream connection through [`httpc`] — the
+//! same close-delimited HTTP/1.1 the in-tree server speaks.
 
-use crate::httpc::{self, HttpReply};
 use crate::promote::{pick_leader, PeerView};
+use dial_serve::httpc::{self, HttpReply};
+use dial_serve::wire::{self, json_str, Acceptor, Refusal, Response};
 use serde_json::Value;
 use std::collections::BTreeMap;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError};
@@ -65,6 +68,10 @@ const LATENCY_WINDOW: usize = 128;
 /// just a warm cache hit racing itself), never wait past 1s to hedge.
 const HEDGE_MIN_MS: u64 = 25;
 const HEDGE_MAX_MS: u64 = 1000;
+
+/// The router's cap on a declared request body, sized for whole ingest
+/// batches; the head window and head cap are the node's defaults.
+const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
 
 /// How the router is wired at startup.
 #[derive(Debug, Clone)]
@@ -152,9 +159,8 @@ struct RouterState {
 
 /// A running router; [`Router::stop`] shuts the accept loop down.
 pub struct Router {
-    addr: SocketAddr,
+    acceptor: Acceptor,
     stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
     probe_handle: Option<JoinHandle<()>>,
 }
 
@@ -164,8 +170,6 @@ impl Router {
     pub fn start(cfg: RouterConfig) -> Result<Self, String> {
         let listener = TcpListener::bind(("127.0.0.1", cfg.port))
             .map_err(|e| format!("bind 127.0.0.1:{}: {e}", cfg.port))?;
-        let addr = listener.local_addr().map_err(|e| format!("local addr: {e}"))?;
-        listener.set_nonblocking(true).map_err(|e| format!("nonblocking listener: {e}"))?;
         let seeds = cluster_nodes_from(&cfg.leader, &cfg.followers);
         let state = Arc::new(RouterState {
             leader: Mutex::new(cfg.leader),
@@ -183,15 +187,15 @@ impl Router {
             retry_after_retries: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
         });
-        let stop = Arc::new(AtomicBool::new(false));
-        let handle = {
+        let acceptor = {
             let state = Arc::clone(&state);
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("dial-route".into())
-                .spawn(move || accept_loop(&listener, &state, &stop))
-                .map_err(|e| format!("spawn router thread: {e}"))?
+            Acceptor::spawn(listener, "dial-route", move |stream| {
+                let state = Arc::clone(&state);
+                move || handle_conn(stream, &state)
+            })
+            .map_err(|e| format!("spawn router thread: {e}"))?
         };
+        let stop = Arc::new(AtomicBool::new(false));
         let probe_handle = {
             let stop = Arc::clone(&stop);
             let interval = cfg.probe_interval;
@@ -200,88 +204,71 @@ impl Router {
                 .spawn(move || probe_loop(&state, interval, &stop))
                 .map_err(|e| format!("spawn prober thread: {e}"))?
         };
-        Ok(Self { addr, stop, handle: Some(handle), probe_handle: Some(probe_handle) })
+        Ok(Self { acceptor, stop, probe_handle: Some(probe_handle) })
     }
 
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
     /// Stops accepting and joins the accept loop and prober. In-flight
     /// proxied requests finish on their own threads.
     pub fn stop(mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
+        self.acceptor.stop();
         if let Some(handle) = self.probe_handle.take() {
             let _ = handle.join();
         }
     }
 }
 
-fn accept_loop(listener: &TcpListener, state: &Arc<RouterState>, stop: &AtomicBool) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let st = Arc::clone(state);
-                std::thread::spawn(move || handle_conn(stream, &st));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => break,
-        }
-    }
-}
-
 fn handle_conn(mut stream: TcpStream, state: &RouterState) {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let (method, path, body) = match read_request(&mut stream) {
-        Ok(parts) => parts,
-        Err(detail) => {
-            respond_error(&mut stream, 400, "bad_request", &detail);
-            return;
+    let _ = stream.set_write_timeout(Some(wire::WRITE_TIMEOUT));
+    let (window, max_head) = (wire::WINDOW, wire::MAX_HEAD_BYTES);
+    let request =
+        match wire::read_request(&mut stream, Instant::now(), window, max_head, MAX_BODY_BYTES) {
+            Ok(request) => request,
+            Err(Refusal { response, over_limit }) => {
+                let _ = wire::write_response(&mut stream, &response);
+                if over_limit {
+                    wire::drain(&mut stream);
+                }
+                return;
+            }
+        };
+    let path = request.target.as_str();
+    let response = match (request.method.as_str(), path) {
+        ("POST", "/v1/ingest") => {
+            let len = wire::content_length(&request.head).unwrap_or(0);
+            match wire::read_body(&mut stream, request.body, len, window) {
+                Ok(body) if body.len() == len => relay(forward_ingest(state, &body)),
+                Ok(short) => wire::truncated_body(short.len(), len),
+                Err(late) => late,
+            }
         }
-    };
-    match (method.as_str(), path.as_str()) {
-        ("POST", "/v1/ingest") => match forward_ingest(state, &body) {
-            Ok(reply) => relay(&mut stream, &reply),
-            Err(detail) => respond_error(&mut stream, 502, "bad_upstream", &detail),
-        },
-        ("GET", "/v1/cluster") => {
-            let body = router_cluster_json(state);
-            respond(&mut stream, 200, "application/json", None, body.as_bytes());
-        }
+        ("GET", "/v1/cluster") => Response::json(200, router_cluster_json(state)),
         ("GET", p) if p == "/v1/stream" || p.starts_with("/v1/stream?") => {
-            proxy_stream(&mut stream, state, &path);
+            return proxy_stream(&mut stream, state, path);
         }
         ("GET", p) if p.starts_with("/v1/analyze") => {
             let replicas = read_replicas(state);
             let ranked: Vec<String> =
-                rank_replicas(&replicas, &path).into_iter().map(str::to_string).collect();
-            match forward_read(state, &ranked, &path) {
-                Ok(reply) => relay(&mut stream, &reply),
-                Err(detail) => respond_error(&mut stream, 502, "bad_upstream", &detail),
-            }
+                rank_replicas(&replicas, path).into_iter().map(str::to_string).collect();
+            relay(forward_read(state, &ranked, path))
         }
         ("GET", _) => {
             let leader = lock_leader(state).clone();
-            match httpc::get(&leader, &path) {
-                Ok(reply) => relay(&mut stream, &reply),
-                Err(detail) => respond_error(&mut stream, 502, "bad_upstream", &detail),
-            }
+            relay(httpc::get(&leader, path))
         }
-        _ => respond_error(
-            &mut stream,
+        _ => Response::error(
             405,
             "method_not_allowed",
-            "router accepts GET, and POST /v1/ingest",
+            "router accepts GET, and POST /v1/ingest".to_string(),
+            None,
         ),
-    }
+    };
+    let _ = wire::write_response(&mut stream, &response);
 }
 
 fn lock_leader(state: &RouterState) -> std::sync::MutexGuard<'_, String> {
@@ -478,19 +465,13 @@ fn forward_read(state: &RouterState, ranked: &[String], path: &str) -> Result<Ht
 fn proxy_stream(client: &mut TcpStream, state: &RouterState, path: &str) {
     let replicas = read_replicas(state);
     let pick = state.round_robin.fetch_add(1, Ordering::Relaxed) % replicas.len();
-    let upstream_addr = &replicas[pick];
-    let mut upstream = match TcpStream::connect(upstream_addr) {
+    let mut upstream = match httpc::get_stream(&replicas[pick], path, Duration::from_secs(2)) {
         Ok(s) => s,
         Err(e) => {
-            respond_error(client, 502, "bad_upstream", &format!("connect {upstream_addr}: {e}"));
+            let _ = wire::write_response(client, &relay(Err(e)));
             return;
         }
     };
-    let head = format!("GET {path} HTTP/1.1\r\nHost: {upstream_addr}\r\nConnection: close\r\n\r\n");
-    if upstream.write_all(head.as_bytes()).is_err() {
-        respond_error(client, 502, "bad_upstream", &format!("write to {upstream_addr} failed"));
-        return;
-    }
     // Feeds idle between seals; only a dead upstream should cut the pipe.
     let _ = upstream.set_read_timeout(Some(Duration::from_secs(300)));
     let mut buf = [0u8; 8192];
@@ -725,107 +706,24 @@ pub fn rank_replicas<'a>(replicas: &'a [String], key: &str) -> Vec<&'a str> {
     scored.into_iter().map(|(_, r)| r).collect()
 }
 
-// ---- request/response plumbing ----------------------------------------
+// ---- replies ---------------------------------------------------------
 
-/// Reads one request: method, path (with query), body per Content-Length.
-fn read_request(stream: &mut TcpStream) -> Result<(String, String, Vec<u8>), String> {
-    let mut raw = Vec::new();
-    let mut buf = [0u8; 4096];
-    let head_end = loop {
-        if let Some(pos) = raw.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos;
-        }
-        if raw.len() > 16 * 1024 {
-            return Err("request head too large".into());
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => return Err("connection closed mid-request".into()),
-            Ok(n) => raw.extend_from_slice(&buf[..n]),
-            Err(e) => return Err(format!("read: {e}")),
-        }
+/// An upstream reply as the router's answer, keeping the headers that
+/// carry meaning across the hop (Content-Type, Location, Retry-After);
+/// no reply at all answers 502.
+fn relay(upstream: Result<HttpReply, String>) -> Response {
+    let reply = match upstream {
+        Ok(reply) => reply,
+        Err(detail) => return Response::error(502, "bad_upstream", detail, None),
     };
-    let head = std::str::from_utf8(&raw[..head_end])
-        .map_err(|e| format!("non-UTF-8 request head: {e}"))?;
-    let mut lines = head.split("\r\n");
-    let request_line = lines.next().unwrap_or("");
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().ok_or("empty request line")?.to_string();
-    let path = parts.next().ok_or("request line without a path")?.to_string();
-    let content_length = lines
-        .filter_map(|l| l.split_once(':'))
-        .find(|(n, _)| n.trim().eq_ignore_ascii_case("content-length"))
-        .and_then(|(_, v)| v.trim().parse::<usize>().ok())
-        .unwrap_or(0);
-    if content_length > 64 * 1024 * 1024 {
-        return Err("declared body too large".into());
+    let content_type = reply.header("content-type").unwrap_or("application/json").to_string();
+    Response {
+        status: reply.status,
+        content_type: content_type.into(),
+        location: reply.header("location").map(str::to_string),
+        retry_after: reply.header("retry-after").and_then(|v| v.parse().ok()),
+        body: reply.body,
     }
-    let mut body = raw[head_end + 4..].to_vec();
-    while body.len() < content_length {
-        match stream.read(&mut buf) {
-            Ok(0) => return Err("connection closed mid-body".into()),
-            Ok(n) => body.extend_from_slice(&buf[..n]),
-            Err(e) => return Err(format!("read body: {e}")),
-        }
-    }
-    body.truncate(content_length);
-    Ok((method, path, body))
-}
-
-fn reason(status: u16) -> &'static str {
-    match status {
-        200 => "OK",
-        308 => "Permanent Redirect",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        408 => "Request Timeout",
-        409 => "Conflict",
-        413 => "Payload Too Large",
-        421 => "Misdirected Request",
-        429 => "Too Many Requests",
-        431 => "Request Header Fields Too Large",
-        500 => "Internal Server Error",
-        502 => "Bad Gateway",
-        503 => "Service Unavailable",
-        504 => "Gateway Timeout",
-        _ => "Response",
-    }
-}
-
-fn json_str(s: &str) -> String {
-    serde_json::to_string(&s).unwrap_or_else(|_| "\"\"".into())
-}
-
-/// Relays an upstream reply to the client, preserving the headers that
-/// carry meaning across the hop (Content-Type, Location, Retry-After).
-fn relay(stream: &mut TcpStream, reply: &HttpReply) {
-    let ctype = reply.header("content-type").unwrap_or("application/json").to_string();
-    let location = reply.header("location").map(str::to_string);
-    respond(stream, reply.status, &ctype, location.as_deref(), &reply.body);
-}
-
-fn respond(stream: &mut TcpStream, status: u16, ctype: &str, location: Option<&str>, body: &[u8]) {
-    let mut head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n",
-        reason(status),
-        body.len()
-    );
-    if let Some(loc) = location {
-        head.push_str(&format!("Location: {loc}\r\n"));
-    }
-    head.push_str("\r\n");
-    let _ = stream.write_all(head.as_bytes()).and_then(|()| stream.write_all(body));
-}
-
-/// The same `{"error":{...}}` envelope the serve nodes use, so router
-/// failures read identically to node failures downstream.
-fn respond_error(stream: &mut TcpStream, status: u16, code: &str, detail: &str) {
-    let body = format!(
-        "{{\"error\":{{\"code\":{},\"message\":{},\"detail\":null}}}}",
-        json_str(code),
-        json_str(detail)
-    );
-    respond(stream, status, "application/json", None, body.as_bytes());
 }
 
 #[cfg(test)]

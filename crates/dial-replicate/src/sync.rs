@@ -35,12 +35,11 @@
 //!   drops from O(poll interval) to near-instant while the interval
 //!   poll stays as the fallback when the subscription drops.
 
-use crate::httpc;
 use dial_fault::{inject, FaultAction, FaultPoint};
+use dial_serve::httpc;
 use dial_serve::{Engine, Role, SyncApplied, SyncApplyError};
 use dial_store::{SyncManifest, SYNC_MANIFEST_VERSION};
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::Read;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -214,15 +213,10 @@ fn nudge_loop(engine: &Engine, stop: &AtomicBool, nudge: &AtomicBool) {
 /// never spans anything the 16-byte carry-over can't bridge.
 fn listen_for_seals(engine: &Engine, leader: &str, stop: &AtomicBool, nudge: &AtomicBool) {
     const MARKER: &[u8] = b"event: seal";
-    let Ok(sock_addr) = leader.parse() else { return };
-    let Ok(mut sock) = TcpStream::connect_timeout(&sock_addr, Duration::from_secs(2)) else {
+    let Ok(mut sock) = httpc::get_stream(leader, "/v1/stream", Duration::from_secs(2)) else {
         return;
     };
     if sock.set_read_timeout(Some(Duration::from_millis(100))).is_err() {
-        return;
-    }
-    let request = format!("GET /v1/stream HTTP/1.1\r\nHost: {leader}\r\nConnection: close\r\n\r\n");
-    if sock.write_all(request.as_bytes()).is_err() {
         return;
     }
     let mut chunk = [0u8; 4096];

@@ -1,11 +1,12 @@
-//! Hand-rolled HTTP/1.1 front-end over `std::net::TcpListener`.
+//! The `dial serve` node's HTTP/1.1 routes, over the shared wire code in
+//! [`crate::wire`].
 //!
-//! The protocol surface is deliberately tiny: GET plus one POST
-//! (`/v1/ingest`), JSON responses, `Connection: close` on every reply.
-//! Each accepted connection gets its own short-lived thread (connections
-//! are cheap; the expensive part — running experiments — is bounded by
-//! the engine's admission scheduler, which is where load is shed). The
-//! one long-lived route is `GET /v1/stream`: a chunked
+//! The protocol surface is deliberately tiny: GET plus two POSTs
+//! (`/v1/ingest`, `/v1/promote`), JSON responses, `Connection: close` on
+//! every reply. Each accepted connection gets its own short-lived thread
+//! (connections are cheap; the expensive part — running experiments — is
+//! bounded by the engine's admission scheduler, which is where load is
+//! shed). The one long-lived route is `GET /v1/stream`: a chunked
 //! `text/event-stream` of seal deltas and era transitions that holds its
 //! connection thread until the client leaves, `?max=N` frames have been
 //! sent, or a drain begins.
@@ -15,40 +16,33 @@
 //! All endpoints live under `/v1`; the original unversioned paths answer
 //! `308 Permanent Redirect` with a `Location` header pointing at their
 //! `/v1` successor, so old clients keep working with one extra hop.
-//! Every non-200 response carries the same JSON envelope:
-//!
-//! ```json
-//! {"error": {"code": "<machine_code>", "message": "<human text>", "detail": {...}}}
-//! ```
-//!
-//! `code` is stable and machine-matchable; `detail` carries structured
-//! context (the valid ids on `unknown_experiment`, the target on
-//! `moved_permanently`) and is `{}` when there is nothing to add.
+//! Every non-200 response carries the error envelope [`crate::wire`]
+//! documents, with structured context in `detail` (the valid ids on
+//! `unknown_experiment`, the target on `moved_permanently`).
 //!
 //! # Front-door protection (DESIGN §12)
 //!
-//! The request head must arrive whole within `read_timeout` — the budget
-//! covers the *entire* header window, so a slow-loris client dribbling a
-//! byte per second is cut off at the same deadline as a silent one (408).
-//! Heads over `max_header_bytes` answer 431; a `Content-Length` above
-//! `max_body_bytes` answers 413 without reading the body. Writes carry
-//! `write_timeout` so a client that stops reading cannot wedge a
-//! connection thread. During a graceful drain every request answers
-//! `503` + `Retry-After` while in-flight work finishes.
+//! [`crate::wire::read_request`] enforces the header window (408), the
+//! head cap (431) and the declared-body cap (413) with this server's
+//! [`ServeConfig`] limits; this module adds the fault hooks and counters
+//! around it. Writes carry `write_timeout` so a client that stops reading
+//! cannot wedge a connection thread. During a graceful drain every
+//! request answers `503` + `Retry-After` while in-flight work finishes.
 
 use crate::engine::{
     AnalyzeError, Engine, IngestError, PromoteError, Role, ScenarioServeError, SyncExportError,
 };
+use crate::httpc;
 use crate::store::StoreSummary;
+use crate::wire::{self, json_str, to_json, Acceptor, Refusal, Request, Response};
 use serde::Serialize;
 use serde_json::Value;
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How long an idle `/v1/stream` connection waits before emitting an SSE
@@ -92,9 +86,9 @@ impl Default for ServeConfig {
             port: 8080,
             threads,
             queue_capacity: 64,
-            read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
-            max_header_bytes: 16 * 1024,
+            read_timeout: wire::WINDOW,
+            write_timeout: wire::WRITE_TIMEOUT,
+            max_header_bytes: wire::MAX_HEAD_BYTES,
             max_body_bytes: 64 * 1024,
             request_deadline: None,
             drain_timeout: Duration::from_secs(10),
@@ -106,13 +100,11 @@ impl Default for ServeConfig {
 /// A running server; dropping it without [`Server::shutdown`] leaves the
 /// accept thread running until process exit.
 pub struct Server {
-    addr: SocketAddr,
     engine: Arc<Engine>,
-    stop: Arc<AtomicBool>,
+    acceptor: Acceptor,
     draining: Arc<AtomicBool>,
     active: Arc<AtomicUsize>,
     drain_timeout: Duration,
-    accept_handle: Option<JoinHandle<()>>,
 }
 
 /// One count in a server's in-flight connection gauge, released on drop:
@@ -147,53 +139,28 @@ impl Server {
     /// Binds, spawns the accept loop, and returns immediately.
     pub fn start(engine: Arc<Engine>, cfg: &ServeConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
         let draining = Arc::new(AtomicBool::new(false));
         let active = Arc::new(AtomicUsize::new(0));
-        let accept_handle = {
+        let acceptor = {
             let engine = Arc::clone(&engine);
-            let stop = Arc::clone(&stop);
             let draining = Arc::clone(&draining);
             let active = Arc::clone(&active);
             let cfg = Arc::new(cfg.clone());
-            std::thread::Builder::new().name("dial-serve-accept".into()).spawn(move || {
-                for conn in listener.incoming() {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = conn else { continue };
-                    let engine = Arc::clone(&engine);
-                    let draining = Arc::clone(&draining);
-                    let cfg = Arc::clone(&cfg);
-                    let task = counted(&active, move || {
-                        let _ = handle_connection(stream, &engine, &cfg, &draining);
-                    });
-                    let _ = std::thread::Builder::new().name("dial-serve-conn".into()).spawn(task);
-                }
+            Acceptor::spawn(listener, "dial-serve", move |stream| {
+                let engine = Arc::clone(&engine);
+                let draining = Arc::clone(&draining);
+                let cfg = Arc::clone(&cfg);
+                counted(&active, move || {
+                    let _ = handle_connection(stream, &engine, &cfg, &draining);
+                })
             })?
         };
-        Ok(Self {
-            addr,
-            engine,
-            stop,
-            draining,
-            active,
-            drain_timeout: cfg.drain_timeout,
-            accept_handle: Some(accept_handle),
-        })
+        Ok(Self { engine, acceptor, draining, active, drain_timeout: cfg.drain_timeout })
     }
 
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Blocks until the server is shut down from another thread.
-    pub fn join(mut self) {
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
+        self.acceptor.addr()
     }
 
     /// Immediate shutdown: stop accepting, wait for in-flight connections
@@ -201,7 +168,7 @@ impl Server {
     /// whatever is still running. Returns the abandoned job ids.
     pub fn shutdown(mut self) -> Vec<u64> {
         let deadline = Instant::now() + self.drain_timeout;
-        self.stop_accepting();
+        self.acceptor.stop();
         self.wait_connections(deadline);
         self.finish_engine(deadline)
     }
@@ -215,18 +182,8 @@ impl Server {
         let deadline = Instant::now() + self.drain_timeout;
         self.draining.store(true, Ordering::SeqCst);
         self.wait_connections(deadline);
-        self.stop_accepting();
+        self.acceptor.stop();
         self.finish_engine(deadline)
-    }
-
-    /// Stops the accept loop: set the flag, poke the listener (it only
-    /// observes the flag around an accept), join the thread.
-    fn stop_accepting(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
     }
 
     /// Waits for in-flight connection threads, bounded by `deadline`.
@@ -251,20 +208,6 @@ impl Server {
     }
 }
 
-// Owned fields throughout: the vendored serde derive does not support
-// lifetime parameters, and these bodies are tiny.
-#[derive(Serialize)]
-struct ErrorEnvelope {
-    error: ErrorBody,
-}
-
-#[derive(Serialize)]
-struct ErrorBody {
-    code: String,
-    message: String,
-    detail: Value,
-}
-
 #[derive(Serialize)]
 struct ExperimentRow {
     id: String,
@@ -280,73 +223,31 @@ struct SummaryBody {
     counts: StoreSummary,
 }
 
-/// One routed reply: status, JSON body (or raw octets for sync segment
-/// fetches), and optional `Location` (308/421) / `Retry-After` (drain
-/// 503) headers.
-struct Response {
-    status: u16,
-    body: String,
-    /// When set, the reply is `application/octet-stream` of these bytes
-    /// and `body` is ignored — the sync segment wire format.
-    raw: Option<Vec<u8>>,
-    location: Option<String>,
-    retry_after: Option<u64>,
+/// A 308 to `location`, with the envelope as body for JSON clients that
+/// do not follow redirects.
+fn redirect_response(location: String) -> Response {
+    let mut detail = BTreeMap::new();
+    detail.insert("location".to_string(), Value::String(location.clone()));
+    let mut r = Response::error(
+        308,
+        "moved_permanently",
+        format!("this endpoint moved to {location}"),
+        Some(Value::Object(detail)),
+    );
+    r.location = Some(location);
+    r
 }
 
-impl Response {
-    fn json(status: u16, body: String) -> Self {
-        Self { status, body, raw: None, location: None, retry_after: None }
-    }
-
-    /// A 200 of raw bytes (CRC-framed sync batches).
-    fn octets(bytes: Vec<u8>) -> Self {
-        Self {
-            status: 200,
-            body: String::new(),
-            raw: Some(bytes),
-            location: None,
-            retry_after: None,
-        }
-    }
-
-    /// The uniform error envelope; `detail` is `{}` when `None`.
-    fn error(status: u16, code: &str, message: String, detail: Option<Value>) -> Self {
-        let envelope = ErrorEnvelope {
-            error: ErrorBody {
-                code: code.to_string(),
-                message,
-                detail: detail.unwrap_or_else(|| Value::Object(Default::default())),
-            },
-        };
-        Self::json(status, to_json(&envelope))
-    }
-
-    /// A 308 to `location`, with the envelope as body for JSON clients
-    /// that do not follow redirects.
-    fn redirect(location: String) -> Self {
-        let mut detail = BTreeMap::new();
-        detail.insert("location".to_string(), Value::String(location.clone()));
-        let mut r = Self::error(
-            308,
-            "moved_permanently",
-            format!("this endpoint moved to {location}"),
-            Some(Value::Object(detail)),
-        );
-        r.location = Some(location);
-        r
-    }
-
-    /// The drain-mode answer: 503 with a `Retry-After` hint.
-    fn draining(retry_after_secs: u64) -> Self {
-        let mut r = Self::error(
-            503,
-            "draining",
-            "server is draining for shutdown, retry shortly".to_string(),
-            None,
-        );
-        r.retry_after = Some(retry_after_secs);
-        r
-    }
+/// The drain-mode answer: 503 with a `Retry-After` hint.
+fn draining_response(retry_after_secs: u64) -> Response {
+    let mut r = Response::error(
+        503,
+        "draining",
+        "server is draining for shutdown, retry shortly".to_string(),
+        None,
+    );
+    r.retry_after = Some(retry_after_secs);
+    r
 }
 
 fn handle_connection(
@@ -356,53 +257,28 @@ fn handle_connection(
     draining: &AtomicBool,
 ) -> std::io::Result<()> {
     stream.set_write_timeout(Some(cfg.write_timeout))?;
-    let (head, leftover) = match read_request_head(&mut stream, engine, cfg) {
-        Ok(pair) => pair,
-        Err(kind) => {
-            engine.metrics().request_rejected();
-            let r = match kind {
-                HeadError::TooLarge => Response::error(
-                    431,
-                    "headers_too_large",
-                    format!("request head exceeds {} bytes", cfg.max_header_bytes),
-                    None,
-                ),
-                HeadError::Timeout => Response::error(
-                    408,
-                    "request_timeout",
-                    format!("request head did not arrive within {:?}", cfg.read_timeout),
-                    None,
-                ),
-            };
-            return respond_and_drain(&mut stream, engine, &r);
-        }
-    };
-    let request_line = head.lines().next().unwrap_or_default().to_string();
-    let mut parts = request_line.split_whitespace();
-    let (method, raw_path) = match (parts.next(), parts.next()) {
-        (Some(m), Some(p)) => (m, p),
-        _ => {
-            let r = Response::error(
-                400,
-                "malformed_request",
-                "could not parse the request line".to_string(),
-                None,
-            );
-            return respond(&mut stream, engine, &r);
-        }
-    };
-    if let Some(len) = content_length(&head) {
-        if len > cfg.max_body_bytes {
-            engine.metrics().request_rejected();
-            let r = Response::error(
-                413,
-                "payload_too_large",
-                format!("declared body of {len} bytes exceeds {} bytes", cfg.max_body_bytes),
-                None,
-            );
-            return respond_and_drain(&mut stream, engine, &r);
-        }
+    let started = Instant::now();
+    // Chaos hook: pretend the client (or the kernel) is slow by burning
+    // header-window time before the read. Injected exactly once per
+    // request head — a per-read() injection would key the fault sequence
+    // to TCP fragmentation, which is not deterministic across runs.
+    if let Some(dial_fault::FaultAction::Delay(d)) =
+        dial_fault::inject(dial_fault::FaultPoint::SlowRead)
+    {
+        engine.metrics().fault("slow_read");
+        std::thread::sleep(d);
     }
+    let (window, max_head, max_body) = (cfg.read_timeout, cfg.max_header_bytes, cfg.max_body_bytes);
+    let Request { head, method, target, body: leftover } =
+        match wire::read_request(&mut stream, started, window, max_head, max_body) {
+            Ok(request) => request,
+            Err(Refusal { response, over_limit: true }) => {
+                engine.metrics().request_rejected();
+                return respond_and_drain(&mut stream, engine, &response);
+            }
+            Err(Refusal { response, .. }) => return respond(&mut stream, engine, &response),
+        };
+    let (method, raw_path) = (method.as_str(), target.as_str());
     let is_ingest = raw_path == "/v1/ingest" || raw_path.starts_with("/v1/ingest?");
     let is_promote = raw_path == "/v1/promote" || raw_path.starts_with("/v1/promote?");
     if !(method == "GET" || (method == "POST" && (is_ingest || is_promote))) {
@@ -420,7 +296,7 @@ fn handle_connection(
     // retry hint — in-flight requests (already past this gate) finish.
     if draining.load(Ordering::SeqCst) {
         engine.metrics().drain_rejection();
-        let r = Response::draining(cfg.drain_timeout.as_secs().max(1));
+        let r = draining_response(cfg.drain_timeout.as_secs().max(1));
         return respond(&mut stream, engine, &r);
     }
     // Split the query off for routing but keep `raw_path` whole so
@@ -465,64 +341,6 @@ fn handle_connection(
     respond(&mut stream, engine, &response)
 }
 
-/// Why reading the request head failed.
-enum HeadError {
-    /// Grew past `max_header_bytes` (431).
-    TooLarge,
-    /// The total header window elapsed — silent *or* dribbling client
-    /// (408).
-    Timeout,
-}
-
-/// Reads the request head (everything through `\r\n\r\n`) under one
-/// total deadline: the socket read timeout is re-armed with the
-/// *remaining* window before every read, so a slow-loris client trickling
-/// bytes cannot extend its welcome past `read_timeout`. Any body bytes
-/// that arrived in the same reads are returned alongside the head.
-fn read_request_head(
-    stream: &mut TcpStream,
-    engine: &Engine,
-    cfg: &ServeConfig,
-) -> Result<(String, Vec<u8>), HeadError> {
-    let deadline = Instant::now() + cfg.read_timeout;
-    // Chaos hook: pretend the client (or the kernel) is slow by burning
-    // header-window time before the read. Injected exactly once per
-    // request head — a per-read() injection would key the fault sequence
-    // to TCP fragmentation, which is not deterministic across runs.
-    if let Some(dial_fault::FaultAction::Delay(d)) =
-        dial_fault::inject(dial_fault::FaultPoint::SlowRead)
-    {
-        engine.metrics().fault("slow_read");
-        std::thread::sleep(d);
-    }
-    let mut buf = Vec::with_capacity(512);
-    let mut chunk = [0u8; 512];
-    // lint:allow(missing-checkpoint): every iteration re-checks its own read deadline; the loop cannot outlive it
-    loop {
-        let now = Instant::now();
-        if now >= deadline {
-            return Err(HeadError::Timeout);
-        }
-        if stream.set_read_timeout(Some(deadline - now)).is_err() {
-            return Err(HeadError::Timeout);
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return Ok((String::from_utf8_lossy(&buf).into_owned(), Vec::new())),
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                if buf.len() > cfg.max_header_bytes {
-                    return Err(HeadError::TooLarge);
-                }
-                if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                    let body = buf.split_off(pos + 4);
-                    return Ok((String::from_utf8_lossy(&buf).into_owned(), body));
-                }
-            }
-            Err(_) => return Err(HeadError::Timeout),
-        }
-    }
-}
-
 /// `POST /v1/ingest`: reads the NDJSON batch body and applies it to the
 /// live stream engine. The declared length was already bounds-checked
 /// against `max_body_bytes` before dispatch.
@@ -531,7 +349,7 @@ fn handle_ingest(
     engine: &Engine,
     cfg: &ServeConfig,
     head: &str,
-    mut body: Vec<u8>,
+    body: Vec<u8>,
 ) -> std::io::Result<()> {
     engine.metrics().request("/v1/ingest");
     // Epoch fencing. The router stamps forwarded writes with the cluster
@@ -540,7 +358,9 @@ fn handle_ingest(
     // refreshes its view), while a write carrying a *higher* epoch is
     // proof this leader has been superseded — it steps aside instead of
     // split-braining, adopting the leader the header names.
-    if let Some(remote) = header_value(head, "x-dial-epoch").and_then(|v| v.parse::<u64>().ok()) {
+    if let Some(remote) =
+        wire::header_value(head, "x-dial-epoch").and_then(|v| v.parse::<u64>().ok())
+    {
         let local = engine.epoch();
         if remote < local {
             engine.metrics().epoch_rejection();
@@ -555,7 +375,7 @@ fn handle_ingest(
             return respond_and_drain(stream, engine, &r);
         }
         if remote > local && engine.role() == Role::Leader {
-            let named = header_value(head, "x-dial-leader").map(str::to_string);
+            let named = wire::header_value(head, "x-dial-leader").map(str::to_string);
             if let Some(leader) = &named {
                 // Failure to adopt leaves this node fenced but leading at
                 // the old epoch; the 421 below still bounces the write.
@@ -590,7 +410,7 @@ fn handle_ingest(
         r.location = Some(format!("http://{leader}/v1/ingest"));
         return respond_and_drain(stream, engine, &r);
     }
-    let Some(len) = content_length(head) else {
+    let Some(len) = wire::content_length(head) else {
         let r = Response::error(
             411,
             "length_required",
@@ -607,49 +427,17 @@ fn handle_ingest(
         engine.metrics().fault("ingest_stall");
         std::thread::sleep(d);
     }
-    // Read the rest of the body under one total deadline, mirroring the
-    // header window's slow-loris defence.
-    let deadline = Instant::now() + cfg.read_timeout;
-    let mut chunk = [0u8; 4096];
-    // lint:allow(missing-checkpoint): every iteration re-checks its own read deadline; the loop cannot outlive it
-    while body.len() < len {
-        let now = Instant::now();
-        if now >= deadline || stream.set_read_timeout(Some(deadline - now)).is_err() {
+    let body = match wire::read_body(stream, body, len, cfg.read_timeout) {
+        Ok(body) if body.len() == len => body,
+        Ok(short) => {
             engine.metrics().request_rejected();
-            let r = Response::error(
-                408,
-                "request_timeout",
-                format!("request body did not arrive within {:?}", cfg.read_timeout),
-                None,
-            );
-            return respond(stream, engine, &r);
+            return respond(stream, engine, &wire::truncated_body(short.len(), len));
         }
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => body.extend_from_slice(&chunk[..n]),
-            Err(_) => {
-                engine.metrics().request_rejected();
-                let r = Response::error(
-                    408,
-                    "request_timeout",
-                    format!("request body did not arrive within {:?}", cfg.read_timeout),
-                    None,
-                );
-                return respond(stream, engine, &r);
-            }
+        Err(late) => {
+            engine.metrics().request_rejected();
+            return respond(stream, engine, &late);
         }
-    }
-    if body.len() < len {
-        engine.metrics().request_rejected();
-        let r = Response::error(
-            400,
-            "truncated_body",
-            format!("body ended after {} of {len} declared bytes", body.len()),
-            None,
-        );
-        return respond(stream, engine, &r);
-    }
-    body.truncate(len);
+    };
     let text = String::from_utf8_lossy(&body);
     let response = match engine.ingest(&text) {
         Ok(report) => Response::json(
@@ -709,7 +497,7 @@ fn handle_promote(
     engine: &Engine,
     cfg: &ServeConfig,
     head: &str,
-    mut body: Vec<u8>,
+    body: Vec<u8>,
 ) -> std::io::Result<()> {
     engine.metrics().request("/v1/promote");
     // Chaos hook: promote is part of the coordination surface the
@@ -720,39 +508,15 @@ fn handle_promote(
         engine.metrics().fault("netsplit");
         std::thread::sleep(d);
     }
-    // Read the (tiny) body under the same total deadline as ingest.
-    let len = content_length(head).unwrap_or(0);
-    let deadline = Instant::now() + cfg.read_timeout;
-    let mut chunk = [0u8; 1024];
-    // lint:allow(missing-checkpoint): every iteration re-checks its own read deadline; the loop cannot outlive it
-    while body.len() < len {
-        let now = Instant::now();
-        if now >= deadline || stream.set_read_timeout(Some(deadline - now)).is_err() {
+    // The (tiny) body gets the same total window as an ingest batch.
+    let len = wire::content_length(head).unwrap_or(0);
+    let body = match wire::read_body(stream, body, len, cfg.read_timeout) {
+        Ok(body) => body,
+        Err(late) => {
             engine.metrics().request_rejected();
-            let r = Response::error(
-                408,
-                "request_timeout",
-                format!("request body did not arrive within {:?}", cfg.read_timeout),
-                None,
-            );
-            return respond(stream, engine, &r);
+            return respond(stream, engine, &late);
         }
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => body.extend_from_slice(&chunk[..n]),
-            Err(_) => {
-                engine.metrics().request_rejected();
-                let r = Response::error(
-                    408,
-                    "request_timeout",
-                    format!("request body did not arrive within {:?}", cfg.read_timeout),
-                    None,
-                );
-                return respond(stream, engine, &r);
-            }
-        }
-    }
-    body.truncate(len);
+    };
     let text = String::from_utf8_lossy(&body);
     let parsed: Option<Value> = serde_json::from_str(text.trim()).ok();
     let adopt_fields = parsed.as_ref().and_then(|v| {
@@ -848,21 +612,10 @@ fn promote_error_response(e: &PromoteError) -> Response {
 
 /// One short-deadline `GET /v1/cluster` against a peer: its sealed tip
 /// and epoch, or `None` when the peer is unreachable (connection refused,
-/// timed out, or answering garbage). Kept deliberately primitive — the
-/// serve crate cannot use dial-replicate's client without a dependency
-/// cycle, and a promotion survey needs nothing more than this.
+/// timed out, or answering garbage).
 fn peer_view(addr: &str) -> Option<(Option<u64>, u64)> {
-    let timeout = Duration::from_secs(2);
-    let sock_addr: SocketAddr = addr.parse().ok()?;
-    let mut sock = TcpStream::connect_timeout(&sock_addr, timeout).ok()?;
-    sock.set_read_timeout(Some(timeout)).ok()?;
-    sock.set_write_timeout(Some(timeout)).ok()?;
-    write!(sock, "GET /v1/cluster HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n").ok()?;
-    let mut buf = Vec::new();
-    sock.read_to_end(&mut buf).ok()?;
-    let text = String::from_utf8_lossy(&buf);
-    let body = text.split("\r\n\r\n").nth(1)?;
-    let v: Value = serde_json::from_str(body.trim()).ok()?;
+    let reply = httpc::get_with_timeout(addr, "/v1/cluster", Duration::from_secs(2)).ok()?;
+    let v: Value = serde_json::from_str(reply.text().trim()).ok()?;
     let sealed = v.get("sealed_seq").as_u64();
     let epoch = v.get("epoch").as_u64().unwrap_or(0);
     Some((sealed, epoch))
@@ -951,23 +704,6 @@ fn not_live_response() -> Response {
         "this server serves a fixed snapshot; start it with --live to ingest or stream".to_string(),
         None,
     )
-}
-
-/// The declared `Content-Length`, if any header carries one.
-fn content_length(head: &str) -> Option<usize> {
-    header_value(head, "content-length").and_then(|v| v.parse().ok())
-}
-
-/// The value of header `name` (case-insensitive), if the head carries it.
-fn header_value<'a>(head: &'a str, name: &str) -> Option<&'a str> {
-    head.lines().skip(1).find_map(|line| {
-        let (n, value) = line.split_once(':')?;
-        if n.trim().eq_ignore_ascii_case(name) {
-            Some(value.trim())
-        } else {
-            None
-        }
-    })
 }
 
 /// The unversioned v0 endpoints, kept answering as permanent redirects.
@@ -1102,7 +838,7 @@ fn route(
             path == *p || (path.starts_with(*p) && path.as_bytes().get(p.len()) == Some(&b'/'))
         }) =>
         {
-            Response::redirect(format!("/v1{raw_path}"))
+            redirect_response(format!("/v1{raw_path}"))
         }
         _ => Response::error(404, "unknown_endpoint", format!("no such endpoint: {path}"), None),
     }
@@ -1164,7 +900,7 @@ fn route_batch(engine: &Engine, query: Option<&str>, deadline: Option<Instant>) 
             Ok(body) => results.push(format!("{}:{}", json_str(id), body)),
             Err(err) => {
                 let r = analyze_error_response(engine, err, id);
-                errors.push(format!("{}:{}", json_str(id), r.body));
+                errors.push(format!("{}:{}", json_str(id), String::from_utf8_lossy(&r.body)));
             }
         }
     }
@@ -1267,69 +1003,21 @@ fn analyze_error_response(engine: &Engine, err: &AnalyzeError, id: &str) -> Resp
     }
 }
 
-fn to_json<T: Serialize>(value: &T) -> String {
-    // lint:allow(unwrap-in-serve): serialising an in-memory value; failure is a serde bug, not a request error
-    serde_json::to_string(value).expect("response bodies serialise")
-}
-
-/// JSON string literal for `s` (quotes + escaping).
-fn json_str(s: &str) -> String {
-    // lint:allow(unwrap-in-serve): serialising an in-memory value; failure is a serde bug, not a request error
-    serde_json::to_string(&s).expect("strings serialise")
-}
-
 /// [`respond`] for requests rejected before their bytes were consumed:
-/// after writing the reply, briefly drain whatever the client already
-/// sent so closing the socket doesn't RST the unread data and destroy
-/// the response before the client reads it.
+/// the reply, then a brief [`wire::drain`] of what the client already
+/// sent.
 fn respond_and_drain(
     stream: &mut TcpStream,
     engine: &Engine,
     response: &Response,
 ) -> std::io::Result<()> {
     let result = respond(stream, engine, response);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let mut sink = [0u8; 1024];
-    for _ in 0..64 {
-        match stream.read(&mut sink) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-    }
+    wire::drain(stream);
     result
 }
 
+/// [`wire::write_response`] behind the `trunc_write` fault hook.
 fn respond(stream: &mut TcpStream, engine: &Engine, response: &Response) -> std::io::Result<()> {
-    let reason = match response.status {
-        200 => "OK",
-        308 => "Permanent Redirect",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        408 => "Request Timeout",
-        409 => "Conflict",
-        411 => "Length Required",
-        413 => "Payload Too Large",
-        421 => "Misdirected Request",
-        429 => "Too Many Requests",
-        431 => "Request Header Fields Too Large",
-        503 => "Service Unavailable",
-        504 => "Gateway Timeout",
-        _ => "Internal Server Error",
-    };
-    let (ctype, payload): (&str, &[u8]) = match &response.raw {
-        Some(bytes) => ("application/octet-stream", bytes.as_slice()),
-        None => ("application/json", response.body.as_bytes()),
-    };
-    let location =
-        response.location.as_ref().map(|l| format!("Location: {l}\r\n")).unwrap_or_default();
-    let retry_after =
-        response.retry_after.map(|s| format!("Retry-After: {s}\r\n")).unwrap_or_default();
-    let head = format!(
-        "HTTP/1.1 {} {reason}\r\nContent-Type: {ctype}\r\n{location}{retry_after}Content-Length: {}\r\nConnection: close\r\n\r\n",
-        response.status,
-        payload.len()
-    );
     // Chaos hook: a truncated write simulates the peer (or a middlebox)
     // cutting the stream mid-response; the client sees a short read and
     // the server must shrug and move on.
@@ -1337,15 +1025,13 @@ fn respond(stream: &mut TcpStream, engine: &Engine, response: &Response) -> std:
         dial_fault::inject(dial_fault::FaultPoint::TruncWrite)
     {
         engine.metrics().fault("trunc_write");
-        let mut wire = head.into_bytes();
-        wire.extend_from_slice(payload);
-        wire.truncate(keep);
-        stream.write_all(&wire)?;
+        let mut bytes = wire::head(response).into_bytes();
+        bytes.extend_from_slice(&response.body);
+        bytes.truncate(keep);
+        stream.write_all(&bytes)?;
         return stream.flush();
     }
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(payload)?;
-    stream.flush()
+    wire::write_response(stream, response)
 }
 
 #[cfg(test)]

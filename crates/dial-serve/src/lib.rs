@@ -10,20 +10,24 @@
 //!    bounded queue; a full queue sheds load instead of growing latency.
 //! 3. [`cache`] — finished response bodies keyed by (snapshot
 //!    fingerprint, experiment id, params) behind an `RwLock`.
-//! 4. [`http`] — a hand-rolled HTTP/1.1 front-end on
-//!    `std::net::TcpListener`, one short-lived thread per connection.
+//! 4. [`http`] — the node's HTTP/1.1 routes, one short-lived thread per
+//!    connection.
 //!
 //! [`engine`] composes layers 1–3 into the no-sockets pipeline that both
 //! the HTTP layer and the benches drive; [`metrics`] counts everything.
+//! [`wire`] (the server side, shared with `dial route`) and [`httpc`]
+//! (the one client) are the workspace's only HTTP/1.1 wire code.
 //! Per DESIGN §7 there is no async runtime anywhere: experiment runs are
 //! CPU-bound, so plain threads + channels are the right concurrency model.
 
 pub mod cache;
 pub mod engine;
 pub mod http;
+pub mod httpc;
 pub mod metrics;
 pub mod scheduler;
 pub mod store;
+pub mod wire;
 
 pub use engine::{
     AnalyzeError, Engine, IngestError, IngestReport, PromoteError, Role, ScenarioServeError,

@@ -85,7 +85,9 @@
 //!            [--speed 0]
 //!     Re-simulate a market and feed its event log, month by month,
 //!     into a live server's /v1/ingest. `--speed` is simulated days
-//!     per wall-clock second (0 = as fast as possible).
+//!     per wall-clock second (0 = as fast as possible). Each POST has a
+//!     10s IO timeout: a target that stops answering fails the replay
+//!     instead of hanging it.
 //!
 //! dial scenario run <file.scn> [--experiment ids] [--json] [--classes 12] [--threads N]
 //! dial scenario check <file.scn>
@@ -122,7 +124,7 @@
 use dial_market::core::experiments::{all_experiments, extension_experiments, ExperimentContext};
 use dial_market::prelude::*;
 use dial_replicate::{Router, RouterConfig, SyncRunner};
-use dial_serve::{Engine, Role, ServeConfig, Server, Snapshot, SnapshotStore};
+use dial_serve::{httpc, Engine, Role, ServeConfig, Server, Snapshot, SnapshotStore};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -829,7 +831,7 @@ fn promote_cmd(args: &[String]) -> ExitCode {
         eprintln!("usage: dial promote <host:port>");
         return ExitCode::FAILURE;
     };
-    match dial_replicate::post(addr, "/v1/promote", b"{}") {
+    match httpc::post(addr, "/v1/promote", b"{}") {
         Ok(reply) => {
             println!("{}", reply.text());
             if reply.status == 200 {
@@ -1004,29 +1006,6 @@ fn lint(args: &[String]) -> ExitCode {
     }
 }
 
-/// POSTs `body` to `http://addr/v1/ingest` over a fresh connection and
-/// returns `(status, response body)`.
-fn post_ingest(addr: &str, body: &str) -> Result<(u16, String), String> {
-    use std::io::{Read, Write};
-    let mut stream =
-        std::net::TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    write!(
-        stream,
-        "POST /v1/ingest HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .map_err(|e| format!("send to {addr}: {e}"))?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).map_err(|e| format!("read from {addr}: {e}"))?;
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("bad response from {addr}: {raw:?}"))?;
-    let body = raw.split_once("\r\n\r\n").map(|(_, b)| b).unwrap_or("").to_string();
-    Ok((status, body))
-}
-
 /// Re-simulates a market and feeds its event log into a live server,
 /// one watermarked month segment per POST.
 fn replay(args: &[String]) -> ExitCode {
@@ -1064,15 +1043,16 @@ fn replay(args: &[String]) -> ExitCode {
 
     for (i, seg) in segments.iter().enumerate() {
         let body = dial_market::stream::encode_ndjson(seg);
-        let (status, resp) = match post_ingest(&target, &body) {
-            Ok(r) => r,
+        let reply = match httpc::post(&target, "/v1/ingest", body.as_bytes()) {
+            Ok(reply) => reply,
             Err(e) => {
                 eprintln!("{e}");
                 return ExitCode::FAILURE;
             }
         };
-        if status != 200 {
-            eprintln!("month {}/{months}: server answered {status}: {resp}", i + 1);
+        let resp = reply.text();
+        if reply.status != 200 {
+            eprintln!("month {}/{months}: server answered {}: {resp}", i + 1, reply.status);
             return ExitCode::FAILURE;
         }
         eprintln!("month {}/{months}: {} event(s) -> {resp}", i + 1, seg.len());

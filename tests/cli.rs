@@ -360,6 +360,58 @@ fn lint_allows_ledger_flags_stale_suppressions() {
     );
 }
 
+/// `dial replay` against a target that accepts and never answers fails
+/// with a timeout instead of hanging: each POST has a 10 s IO timeout.
+#[test]
+fn replay_times_out_against_a_silent_target() {
+    use std::io::Read;
+    use std::time::{Duration, Instant};
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    listener.set_nonblocking(true).unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let mut child = dial()
+        .args(["replay", "--seed", "9", "--scale", "0.01", "--target", &addr])
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn dial replay");
+
+    // Accept and hold every connection without answering. The test keeps
+    // its own deadlines, so a replay that never gives up fails here
+    // instead of hanging the suite.
+    let spawned = Instant::now();
+    let mut held = Vec::new();
+    let mut connected: Option<Instant> = None;
+    let status = loop {
+        if let Ok((sock, _)) = listener.accept() {
+            held.push(sock);
+            connected.get_or_insert_with(Instant::now);
+        }
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        let stuck = match connected {
+            Some(at) => at.elapsed() > Duration::from_secs(15),
+            None => spawned.elapsed() > Duration::from_secs(120),
+        };
+        if stuck {
+            child.kill().ok();
+            child.wait().ok();
+            let (since, what) = match connected {
+                Some(at) => (at, "connecting"),
+                None => (spawned, "spawning"),
+            };
+            panic!("dial replay still blocked {:?} after {what}", since.elapsed());
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    child.stderr.take().unwrap().read_to_string(&mut stderr).unwrap();
+    assert!(connected.is_some(), "replay never connected: {stderr}");
+    assert!(!status.success(), "a silent target must fail the replay: {stderr}");
+    assert!(stderr.contains("timed out"), "expected a timeout error: {stderr}");
+}
+
 /// `dial replay --speed` rejects garbage instead of silently replaying
 /// at full speed — the exact diagnostics are part of the CLI contract.
 #[test]
