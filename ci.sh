@@ -48,10 +48,6 @@ echo "==> failover bench smoke (time-to-recover headline -> BENCH_failover.json)
 cargo bench -p dial-bench --bench failover
 test -s BENCH_failover.json
 
-echo "==> scenario bench smoke (comparison overhead headline -> BENCH_scenario.json)"
-cargo bench -p dial-bench --bench scenario
-test -s BENCH_scenario.json
-
 echo "==> lint bench smoke (full-workspace analysis wall time -> BENCH_lint.json)"
 cargo bench -p dial-bench --bench lint
 test -s BENCH_lint.json

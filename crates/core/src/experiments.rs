@@ -87,27 +87,8 @@ fn structured_json(id: &str, ctx: &ExperimentContext) -> Option<String> {
         "table6" => json(ctx.ltm()),
         "table7" => json(&coldstart::cold_start_analysis(&ctx.dataset, ctx.seed)),
         "table8" => json(&ctx.ltm().flows),
-        "table9" => {
-            let models: Vec<_> = Era::ALL
-                .iter()
-                .filter_map(|era| {
-                    regression::era_zip_model(&ctx.dataset, *era, regression::UserSubset::All)
-                })
-                .collect();
-            json(&models)
-        }
-        "table10" => {
-            let mut models = Vec::new();
-            for era in [Era::Stable, Era::Covid19] {
-                for subset in [regression::UserSubset::FirstTime, regression::UserSubset::Existing]
-                {
-                    if let Some(m) = regression::era_zip_model(&ctx.dataset, era, subset) {
-                        models.push(m);
-                    }
-                }
-            }
-            json(&models)
-        }
+        "table9" => json(&regression::table_models(&ctx.dataset, &regression::TABLE9)),
+        "table10" => json(&regression::table_models(&ctx.dataset, &regression::TABLE10)),
         "fig1" => json(&growth::growth_series(&ctx.dataset)),
         "fig2" => json(&visibility::public_share_by_month(&ctx.dataset)),
         "fig3" => json(&type_mix::type_mix_series(&ctx.dataset)),
@@ -430,36 +411,21 @@ pub fn all_experiments() -> Vec<Experiment> {
             id: "table9",
             title: "ZIP regression, all users per era",
             paper_claim: "activity (initiated contracts, marketplace posts) raises completions in every era; ZIP preferred by Vuong; first-time users complete fewer contracts in STABLE/COVID-19",
-            run: |ctx| {
-                Era::ALL
-                    .iter()
-                    .filter_map(|era| {
-                        regression::era_zip_model(&ctx.dataset, *era, regression::UserSubset::All)
-                            .map(|m| m.to_string())
-                    })
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            },
+            run: |ctx| zip_table_text(ctx, &regression::TABLE9),
         },
         Experiment {
             id: "table10",
             title: "ZIP regression, first-time vs existing users",
             paper_claim: "first-time users penalised for negative ratings/disputes in STABLE; existing users are not; the asymmetry persists in COVID-19",
-            run: |ctx| {
-                let mut out = Vec::new();
-                for era in [Era::Stable, Era::Covid19] {
-                    for subset in
-                        [regression::UserSubset::FirstTime, regression::UserSubset::Existing]
-                    {
-                        if let Some(m) = regression::era_zip_model(&ctx.dataset, era, subset) {
-                            out.push(m.to_string());
-                        }
-                    }
-                }
-                out.join("\n")
-            },
+            run: |ctx| zip_table_text(ctx, &regression::TABLE10),
         },
     ]
+}
+
+/// Renders one ZIP table's models, one block per model.
+fn zip_table_text(ctx: &ExperimentContext, specs: &[(Era, regression::UserSubset)]) -> String {
+    let models = regression::table_models(&ctx.dataset, specs);
+    models.iter().map(ToString::to_string).collect::<Vec<_>>().join("\n")
 }
 
 fn summarize_class_volumes(a: &ltm::LtmAnalysis, accepted: bool) -> String {

@@ -160,6 +160,31 @@ pub struct EraZipModel {
     pub zip: ZipFit,
 }
 
+/// Table 9's models: all users, one per era.
+pub const TABLE9: [(Era, UserSubset); 3] = [
+    (Era::SetUp, UserSubset::All),
+    (Era::Stable, UserSubset::All),
+    (Era::Covid19, UserSubset::All),
+];
+
+/// Table 10's models: first-time vs existing users in STABLE and COVID-19.
+pub const TABLE10: [(Era, UserSubset); 4] = [
+    (Era::Stable, UserSubset::FirstTime),
+    (Era::Stable, UserSubset::Existing),
+    (Era::Covid19, UserSubset::FirstTime),
+    (Era::Covid19, UserSubset::Existing),
+];
+
+/// Fits one table's models ([`TABLE9`] or [`TABLE10`]), in spec order,
+/// leaving out any that [`era_zip_model`] skips. The fits share nothing, so
+/// they fan out over the pool; each result is the serial one, at any width.
+pub fn table_models(dataset: &Dataset, specs: &[(Era, UserSubset)]) -> Vec<EraZipModel> {
+    dial_par::parallel_map(specs.to_vec(), |(era, subset)| era_zip_model(dataset, era, subset))
+        .into_iter()
+        .flatten()
+        .collect()
+}
+
 /// Fits the ZIP model for one era and subset. Returns `None` if fewer than
 /// 50 users qualify (tiny-scale simulations).
 pub fn era_zip_model(dataset: &Dataset, era: Era, subset: UserSubset) -> Option<EraZipModel> {

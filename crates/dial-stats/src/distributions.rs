@@ -1,6 +1,7 @@
 //! Probability-distribution helpers: normal CDF, log-gamma and Poisson pmf.
 
 use std::f64::consts::PI;
+use std::sync::LazyLock;
 
 /// Error function, via the Abramowitz & Stegun 7.1.26 rational approximation
 /// (|error| < 1.5e-7, ample for p-value reporting).
@@ -69,9 +70,23 @@ pub fn ln_gamma(x: f64) -> f64 {
     0.5 * (2.0 * PI).ln() + (x + 0.5) * t.ln() - t + acc.ln()
 }
 
-/// `ln(k!)` via `ln_gamma`.
+/// `ln(k!)` is read from a table for `k` below this bound.
+const LN_FACTORIAL_TABLE_LEN: usize = 1024;
+
+/// `ln_gamma(k + 1)` for every `k < LN_FACTORIAL_TABLE_LEN`, filled on first
+/// use by the very call [`ln_factorial`] makes past the table, so a lookup
+/// returns the bits the direct evaluation would.
+static LN_FACTORIALS: LazyLock<Vec<f64>> = LazyLock::new(|| {
+    (0..LN_FACTORIAL_TABLE_LEN as u64).map(|k| ln_gamma(k as f64 + 1.0)).collect()
+});
+
+/// `ln(k!)` via `ln_gamma`, tabulated for small `k` (every ZIP likelihood
+/// pass evaluates it for each positive count).
 pub fn ln_factorial(k: u64) -> f64 {
-    ln_gamma(k as f64 + 1.0)
+    match usize::try_from(k).ok().and_then(|i| LN_FACTORIALS.get(i)) {
+        Some(v) => *v,
+        None => ln_gamma(k as f64 + 1.0),
+    }
 }
 
 /// Log of the Poisson pmf `P(X = k | λ)`. Defined for `λ > 0`; for `λ = 0`
@@ -130,6 +145,18 @@ mod tests {
         }
         // Γ(0.5) = √π.
         assert!((ln_gamma(0.5) - PI.sqrt().ln()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn ln_factorial_table_matches_ln_gamma_bitwise() {
+        // Every table entry, then the first two values evaluated directly.
+        for k in 0..LN_FACTORIAL_TABLE_LEN as u64 + 2 {
+            assert_eq!(
+                ln_factorial(k).to_bits(),
+                ln_gamma(k as f64 + 1.0).to_bits(),
+                "ln_factorial({k})"
+            );
+        }
     }
 
     #[test]

@@ -68,29 +68,32 @@ impl GlmFit {
 }
 
 /// Shared IRLS driver. `step` maps the current linear predictor to
-/// `(irls_weight, working_response, loglik_contribution)` per observation.
+/// `(irls_weight, working_response)` per observation; `loglik` gives one
+/// observation's log-likelihood contribution.
+///
+/// The reported log-likelihood is summed once, in row order, after the
+/// loop, over the linear predictor the final coefficient update was solved
+/// from. A fresh one from the returned coefficients would move the reported
+/// bits.
 fn irls(
     x: &Matrix,
     init: Vec<f64>,
-    mut step: impl FnMut(usize, f64) -> (f64, f64, f64),
+    step: impl Fn(usize, f64) -> (f64, f64),
+    loglik: impl Fn(usize, f64) -> f64,
 ) -> Result<(Vec<f64>, Matrix, f64, usize), SingularMatrix> {
     let n = x.rows();
     let mut beta = init;
     let mut info = Matrix::zeros(x.cols(), x.cols());
-    let mut log_lik = 0.0;
+    let mut eta = Vec::new();
+    let mut w = vec![0.0; n];
+    let mut z = vec![0.0; n];
     let mut iterations = 0;
 
     for iter in 1..=MAX_ITER {
         iterations = iter;
-        let eta = x.mul_vec(&beta);
-        let mut w = vec![0.0; n];
-        let mut z = vec![0.0; n];
-        log_lik = 0.0;
+        eta = x.mul_vec(&beta);
         for i in 0..n {
-            let (wi, zi, ll) = step(i, eta[i]);
-            w[i] = wi;
-            z[i] = zi;
-            log_lik += ll;
+            (w[i], z[i]) = step(i, eta[i]);
         }
         info = x.xtwx(&w);
         let rhs = x.xtwz(&w, &z);
@@ -106,6 +109,10 @@ fn irls(
         if delta < TOL {
             break;
         }
+    }
+    let mut log_lik = 0.0;
+    for (i, e) in eta.iter().enumerate() {
+        log_lik += loglik(i, *e);
     }
     Ok((beta, info, log_lik, iterations))
 }
@@ -139,15 +146,19 @@ impl PoissonRegression {
         }
 
         let cap = 30.0; // bound η to avoid overflow on wild steps
-        let (coef, info, log_lik, iterations) = irls(x, init, |i, eta| {
-            let eta = eta.clamp(-cap, cap);
-            let mu = eta.exp();
-            let pw = weight(i);
-            let w = pw * mu;
-            let z = eta + (y[i] - mu) / mu;
-            let ll = pw * (y[i] * eta - mu - ln_factorial(y[i].round() as u64));
-            (w, z, ll)
-        })?;
+        let (coef, info, log_lik, iterations) = irls(
+            x,
+            init,
+            |i, eta| {
+                let eta = eta.clamp(-cap, cap);
+                let mu = eta.exp();
+                (weight(i) * mu, eta + (y[i] - mu) / mu)
+            },
+            |i, eta| {
+                let eta = eta.clamp(-cap, cap);
+                weight(i) * (y[i] * eta - eta.exp() - ln_factorial(y[i].round() as u64))
+            },
+        )?;
         GlmFit::from_irls(coef, &info, log_lik, n, iterations)
     }
 }
@@ -172,16 +183,22 @@ impl LogisticRegression {
 
         let init = vec![0.0; x.cols()];
         let cap = 30.0;
-        let (coef, info, log_lik, iterations) = irls(x, init, |i, eta| {
-            let eta = eta.clamp(-cap, cap);
-            let mu = 1.0 / (1.0 + (-eta).exp());
-            let pw = weight(i);
-            let v = (mu * (1.0 - mu)).max(1e-10);
-            let w = pw * v;
-            let z = eta + (y[i] - mu) / v;
-            let ll = pw * (y[i] * mu.max(1e-300).ln() + (1.0 - y[i]) * (1.0 - mu).max(1e-300).ln());
-            (w, z, ll)
-        })?;
+        let mean = |eta: f64| 1.0 / (1.0 + (-eta).exp());
+        let (coef, info, log_lik, iterations) = irls(
+            x,
+            init,
+            |i, eta| {
+                let eta = eta.clamp(-cap, cap);
+                let mu = mean(eta);
+                let v = (mu * (1.0 - mu)).max(1e-10);
+                (weight(i) * v, eta + (y[i] - mu) / v)
+            },
+            |i, eta| {
+                let mu = mean(eta.clamp(-cap, cap));
+                weight(i)
+                    * (y[i] * mu.max(1e-300).ln() + (1.0 - y[i]) * (1.0 - mu).max(1e-300).ln())
+            },
+        )?;
         GlmFit::from_irls(coef, &info, log_lik, n, iterations)
     }
 }
@@ -204,6 +221,7 @@ pub fn design_with_intercept(rows: &[Vec<f64>]) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distributions::ln_gamma;
 
     /// Deterministic inverse-CDF Poisson sampler for test data.
     fn poisson_draw(lambda: f64, u: f64) -> f64 {
@@ -230,6 +248,137 @@ mod tests {
                 (s.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64
             })
             .collect()
+    }
+
+    /// The IRLS driver as it was when the log-likelihood was summed inside
+    /// the loop on every iteration: the reference the bit-identity tests
+    /// hold [`irls`] to.
+    fn reference_irls(
+        x: &Matrix,
+        init: Vec<f64>,
+        step: impl Fn(usize, f64) -> (f64, f64, f64),
+    ) -> (Vec<f64>, Matrix, f64, usize) {
+        let n = x.rows();
+        let mut beta = init;
+        let mut info = Matrix::zeros(x.cols(), x.cols());
+        let mut log_lik = 0.0;
+        let mut iterations = 0;
+        for iter in 1..=MAX_ITER {
+            iterations = iter;
+            let eta = x.mul_vec(&beta);
+            let mut w = vec![0.0; n];
+            let mut z = vec![0.0; n];
+            log_lik = 0.0;
+            for i in 0..n {
+                let (wi, zi, ll) = step(i, eta[i]);
+                w[i] = wi;
+                z[i] = zi;
+                log_lik += ll;
+            }
+            info = x.xtwx(&w);
+            let rhs = x.xtwz(&w, &z);
+            let new_beta = info.solve_spd(&rhs).unwrap_or_else(|_| {
+                let mut jittered = info.clone();
+                for d in 0..jittered.rows() {
+                    jittered[(d, d)] += 1e-8;
+                }
+                jittered.solve_spd(&rhs).expect("reference fixture is solvable")
+            });
+            let delta =
+                new_beta.iter().zip(&beta).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
+            beta = new_beta;
+            if delta < TOL {
+                break;
+            }
+        }
+        (beta, info, log_lik, iterations)
+    }
+
+    /// Poisson regression with the per-row expressions inlined as before.
+    fn reference_poisson(x: &Matrix, y: &[f64], pw: Option<&[f64]>) -> GlmFit {
+        let n = x.rows();
+        let weight = |i: usize| pw.map_or(1.0, |pw| pw[i]);
+        let mut init = vec![0.0; x.cols()];
+        let wsum: f64 = (0..n).map(weight).sum();
+        let wy: f64 = (0..n).map(|i| weight(i) * y[i]).sum();
+        if wsum > 0.0 {
+            init[0] = (wy / wsum).max(1e-6).ln();
+        }
+        let cap = 30.0;
+        let (coef, info, log_lik, iterations) = reference_irls(x, init, |i, eta| {
+            let eta = eta.clamp(-cap, cap);
+            let mu = eta.exp();
+            let pw = weight(i);
+            let w = pw * mu;
+            let z = eta + (y[i] - mu) / mu;
+            let ll = pw * (y[i] * eta - mu - ln_gamma(y[i].round() as u64 as f64 + 1.0));
+            (w, z, ll)
+        });
+        GlmFit::from_irls(coef, &info, log_lik, n, iterations).unwrap()
+    }
+
+    /// Logistic regression with the per-row expressions inlined as before.
+    fn reference_logistic(x: &Matrix, y: &[f64], pw: Option<&[f64]>) -> GlmFit {
+        let n = x.rows();
+        let weight = |i: usize| pw.map_or(1.0, |pw| pw[i]);
+        let cap = 30.0;
+        let (coef, info, log_lik, iterations) = reference_irls(x, vec![0.0; x.cols()], |i, eta| {
+            let eta = eta.clamp(-cap, cap);
+            let mu = 1.0 / (1.0 + (-eta).exp());
+            let pw = weight(i);
+            let v = (mu * (1.0 - mu)).max(1e-10);
+            let w = pw * v;
+            let z = eta + (y[i] - mu) / v;
+            let ll = pw * (y[i] * mu.max(1e-300).ln() + (1.0 - y[i]) * (1.0 - mu).max(1e-300).ln());
+            (w, z, ll)
+        });
+        GlmFit::from_irls(coef, &info, log_lik, n, iterations).unwrap()
+    }
+
+    fn assert_same_bits(fit: &GlmFit, reference: &GlmFit) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&fit.coef), bits(&reference.coef), "coefficients");
+        assert_eq!(bits(&fit.std_err), bits(&reference.std_err), "standard errors");
+        assert_eq!(fit.log_lik.to_bits(), reference.log_lik.to_bits(), "log-likelihood");
+        assert_eq!(fit.iterations, reference.iterations, "iterations");
+    }
+
+    /// A two-covariate design, Poisson counts, a fractional response in
+    /// [0, 1] (as ZIP's E-step produces) and fractional prior weights.
+    fn bit_fixture(n: usize) -> (Matrix, Vec<f64>, Vec<f64>, Vec<f64>) {
+        let us = uniforms(5 * n, 31);
+        let rows: Vec<Vec<f64>> =
+            (0..n).map(|i| vec![us[i] * 2.0 - 1.0, (us[n + i] * 9.0).sqrt()]).collect();
+        let counts: Vec<f64> = (0..n)
+            .map(|i| poisson_draw((0.3 + 0.7 * rows[i][0] + 0.2 * rows[i][1]).exp(), us[2 * n + i]))
+            .collect();
+        let share: Vec<f64> =
+            (0..n).map(|i| if counts[i] > 0.0 { 0.0 } else { us[3 * n + i] }).collect();
+        let weights: Vec<f64> = (0..n).map(|i| 0.05 + us[4 * n + i]).collect();
+        (design_with_intercept(&rows), counts, share, weights)
+    }
+
+    #[test]
+    fn poisson_log_lik_matches_per_iteration_sum_bitwise() {
+        let (x, counts, _, weights) = bit_fixture(700);
+        for pw in [None, Some(weights.as_slice())] {
+            let fit = PoissonRegression::fit(&x, &counts, pw).unwrap();
+            assert_same_bits(&fit, &reference_poisson(&x, &counts, pw));
+            assert!(fit.iterations > 2, "fixture converges too fast to test anything");
+        }
+    }
+
+    #[test]
+    fn logistic_log_lik_matches_per_iteration_sum_bitwise() {
+        let (x, counts, share, weights) = bit_fixture(700);
+        let binary: Vec<f64> = counts.iter().map(|c| f64::from(*c > 1.0)).collect();
+        for y in [&share, &binary] {
+            for pw in [None, Some(weights.as_slice())] {
+                let fit = LogisticRegression::fit(&x, y, pw).unwrap();
+                assert_same_bits(&fit, &reference_logistic(&x, y, pw));
+                assert!(fit.iterations > 2, "fixture converges too fast to test anything");
+            }
+        }
     }
 
     #[test]

@@ -111,6 +111,16 @@ impl HmmLtm {
         let mut log_lik = f64::NEG_INFINITY;
         let mut iterations = 0;
 
+        // `ln(y!)` per observation, `t_len × d` per sequence: fixed for the
+        // fit. The per-sequence buffers below are row-major `t_len × k` and
+        // reused from one sequence to the next.
+        let ln_fact: Vec<Vec<f64>> = nonempty
+            .iter()
+            .map(|s| s.iter().flatten().map(|y| ln_factorial(y.round() as u64)).collect())
+            .collect();
+        let (mut lp, mut alpha, mut beta) = (Vec::new(), Vec::new(), Vec::new());
+        let mut terms = vec![0.0; k];
+
         for iter in 1..=MAX_ITER {
             iterations = iter;
             let mut new_initial = vec![1e-10; k];
@@ -124,49 +134,61 @@ impl HmmLtm {
                 .iter()
                 .map(|row| row.iter().map(|p| p.max(1e-300).ln()).collect())
                 .collect();
+            let ln_rates: Vec<Vec<f64>> =
+                rates.iter().map(|row| row.iter().map(|lam| lam.ln()).collect()).collect();
 
-            for seq in &nonempty {
+            for (seq, lf) in nonempty.iter().zip(&ln_fact) {
                 let t_len = seq.len();
-                // Emission log-probs.
-                let lp: Vec<Vec<f64>> = seq
-                    .iter()
-                    .map(|obs| (0..k).map(|c| emission_log_prob(&rates[c], obs)).collect())
-                    .collect();
+                // Emission log-probs: `emission_log_prob` with its
+                // logarithms read from the hoisted tables.
+                lp.clear();
+                for (t, obs) in seq.iter().enumerate() {
+                    let lf = &lf[t * d..(t + 1) * d];
+                    for c in 0..k {
+                        let e: f64 = (0..d)
+                            .map(|dd| obs[dd] * ln_rates[c][dd] - rates[c][dd] - lf[dd])
+                            .sum();
+                        lp.push(e);
+                    }
+                }
 
                 // Forward pass (log space).
-                let mut alpha = vec![vec![0.0; k]; t_len];
+                alpha.clear();
+                alpha.resize(t_len * k, 0.0);
                 for c in 0..k {
-                    alpha[0][c] = ln_init[c] + lp[0][c];
+                    alpha[c] = ln_init[c] + lp[c];
                 }
                 for t in 1..t_len {
                     for c in 0..k {
-                        let terms: Vec<f64> =
-                            (0..k).map(|p| alpha[t - 1][p] + ln_trans[p][c]).collect();
-                        alpha[t][c] = log_sum_exp(&terms) + lp[t][c];
+                        for (p, term) in terms.iter_mut().enumerate() {
+                            *term = alpha[(t - 1) * k + p] + ln_trans[p][c];
+                        }
+                        alpha[t * k + c] = log_sum_exp(&terms) + lp[t * k + c];
                     }
                 }
-                let seq_ll = log_sum_exp(&alpha[t_len - 1]);
+                let seq_ll = log_sum_exp(&alpha[(t_len - 1) * k..]);
                 total_ll += seq_ll;
 
                 // Backward pass.
-                let mut beta = vec![vec![0.0; k]; t_len];
+                beta.clear();
+                beta.resize(t_len * k, 0.0);
                 for t in (0..t_len.saturating_sub(1)).rev() {
                     for c in 0..k {
-                        let terms: Vec<f64> = (0..k)
-                            .map(|n| ln_trans[c][n] + lp[t + 1][n] + beta[t + 1][n])
-                            .collect();
-                        beta[t][c] = log_sum_exp(&terms);
+                        for (n, term) in terms.iter_mut().enumerate() {
+                            *term = ln_trans[c][n] + lp[(t + 1) * k + n] + beta[(t + 1) * k + n];
+                        }
+                        beta[t * k + c] = log_sum_exp(&terms);
                     }
                 }
 
                 // Accumulate expected counts.
                 for c in 0..k {
-                    let gamma0 = (alpha[0][c] + beta[0][c] - seq_ll).exp();
+                    let gamma0 = (alpha[c] + beta[c] - seq_ll).exp();
                     new_initial[c] += gamma0;
                 }
                 for t in 0..t_len {
                     for c in 0..k {
-                        let gamma = (alpha[t][c] + beta[t][c] - seq_ll).exp();
+                        let gamma = (alpha[t * k + c] + beta[t * k + c] - seq_ll).exp();
                         rate_den[c] += gamma;
                         for dd in 0..d {
                             rate_num[c][dd] += gamma * seq[t][dd];
@@ -176,10 +198,10 @@ impl HmmLtm {
                 for t in 0..t_len.saturating_sub(1) {
                     for from in 0..k {
                         for to in 0..k {
-                            let xi = (alpha[t][from]
+                            let xi = (alpha[t * k + from]
                                 + ln_trans[from][to]
-                                + lp[t + 1][to]
-                                + beta[t + 1][to]
+                                + lp[(t + 1) * k + to]
+                                + beta[(t + 1) * k + to]
                                 - seq_ll)
                                 .exp();
                             new_trans[from][to] += xi;
@@ -312,6 +334,154 @@ mod tests {
             states.push(path);
         }
         (seqs, states)
+    }
+
+    /// Baum–Welch as it was before the emission logarithms were hoisted:
+    /// [`emission_log_prob`] per (observation, class) on every iteration
+    /// and fresh `terms` vectors in both passes. Starts from `rates`.
+    fn reference_fit(k: usize, sequences: &[Vec<Vec<f64>>], rates: Vec<Vec<f64>>) -> HmmFit {
+        let nonempty: Vec<&Vec<Vec<f64>>> = sequences.iter().filter(|s| !s.is_empty()).collect();
+        let d = nonempty[0][0].len();
+        let mut rates = rates;
+        let mut initial = vec![1.0 / k as f64; k];
+        let mut transitions = vec![vec![1.0 / k as f64; k]; k];
+        let mut log_lik = f64::NEG_INFINITY;
+        let mut iterations = 0;
+        for iter in 1..=MAX_ITER {
+            iterations = iter;
+            let mut new_initial = vec![1e-10; k];
+            let mut new_trans = vec![vec![1e-10; k]; k];
+            let mut rate_num = vec![vec![0.0; d]; k];
+            let mut rate_den = vec![1e-10; k];
+            let mut total_ll = 0.0;
+            let ln_init: Vec<f64> = initial.iter().map(|p| p.max(1e-300).ln()).collect();
+            let ln_trans: Vec<Vec<f64>> = transitions
+                .iter()
+                .map(|row| row.iter().map(|p| p.max(1e-300).ln()).collect())
+                .collect();
+            for seq in &nonempty {
+                let t_len = seq.len();
+                let lp: Vec<Vec<f64>> = seq
+                    .iter()
+                    .map(|obs| (0..k).map(|c| emission_log_prob(&rates[c], obs)).collect())
+                    .collect();
+                let mut alpha = vec![vec![0.0; k]; t_len];
+                for c in 0..k {
+                    alpha[0][c] = ln_init[c] + lp[0][c];
+                }
+                for t in 1..t_len {
+                    for c in 0..k {
+                        let terms: Vec<f64> =
+                            (0..k).map(|p| alpha[t - 1][p] + ln_trans[p][c]).collect();
+                        alpha[t][c] = log_sum_exp(&terms) + lp[t][c];
+                    }
+                }
+                let seq_ll = log_sum_exp(&alpha[t_len - 1]);
+                total_ll += seq_ll;
+                let mut beta = vec![vec![0.0; k]; t_len];
+                for t in (0..t_len.saturating_sub(1)).rev() {
+                    for c in 0..k {
+                        let terms: Vec<f64> = (0..k)
+                            .map(|n| ln_trans[c][n] + lp[t + 1][n] + beta[t + 1][n])
+                            .collect();
+                        beta[t][c] = log_sum_exp(&terms);
+                    }
+                }
+                for c in 0..k {
+                    new_initial[c] += (alpha[0][c] + beta[0][c] - seq_ll).exp();
+                }
+                for t in 0..t_len {
+                    for c in 0..k {
+                        let gamma = (alpha[t][c] + beta[t][c] - seq_ll).exp();
+                        rate_den[c] += gamma;
+                        for dd in 0..d {
+                            rate_num[c][dd] += gamma * seq[t][dd];
+                        }
+                    }
+                }
+                for t in 0..t_len.saturating_sub(1) {
+                    for from in 0..k {
+                        for to in 0..k {
+                            new_trans[from][to] += (alpha[t][from]
+                                + ln_trans[from][to]
+                                + lp[t + 1][to]
+                                + beta[t + 1][to]
+                                - seq_ll)
+                                .exp();
+                        }
+                    }
+                }
+            }
+            let init_total: f64 = new_initial.iter().sum();
+            initial = new_initial.iter().map(|v| v / init_total).collect();
+            transitions = new_trans
+                .iter()
+                .map(|row| {
+                    let s: f64 = row.iter().sum();
+                    row.iter().map(|v| v / s).collect()
+                })
+                .collect();
+            for c in 0..k {
+                for dd in 0..d {
+                    rates[c][dd] = (rate_num[c][dd] / rate_den[c]).max(RATE_FLOOR);
+                }
+            }
+            let improved = (total_ll - log_lik) / nonempty.len() as f64;
+            log_lik = total_ll;
+            if improved.abs() < TOL {
+                break;
+            }
+        }
+        HmmFit {
+            k,
+            d,
+            initial,
+            transitions,
+            rates,
+            log_lik,
+            iterations,
+            n_sequences: nonempty.len(),
+        }
+    }
+
+    #[test]
+    fn fit_matches_emission_log_prob_reference_bitwise() {
+        let mut rng = ChaCha8Rng::seed_from_u64(12);
+        let (mut seqs, _) = planted(60, 9, &mut rng);
+        // Uneven lengths, an empty and a one-observation sequence.
+        for (i, s) in seqs.iter_mut().enumerate() {
+            s.truncate(1 + i % 9);
+        }
+        seqs.push(Vec::new());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let starts = [
+            vec![vec![1.0, 3.0], vec![2.5, 0.5]],
+            vec![vec![0.5, 4.0], vec![3.0, 1.0], vec![1.5, 1.5]],
+        ];
+        for rates in starts {
+            let k = rates.len();
+            let warm = LcaFit {
+                k,
+                d: 2,
+                n: 0,
+                weights: vec![1.0 / k as f64; k],
+                rates: rates.clone(),
+                log_lik: 0.0,
+                iterations: 0,
+            };
+            let fit = HmmLtm { k }.fit(&seqs, Some(&warm), &mut rng);
+            let reference = reference_fit(k, &seqs, rates);
+            assert_eq!(fit.iterations, reference.iterations, "k={k}: iterations");
+            assert!(fit.iterations > 3, "k={k}: fixture converges too fast");
+            assert_eq!(fit.log_lik.to_bits(), reference.log_lik.to_bits(), "k={k}: log-lik");
+            assert_eq!(bits(&fit.initial), bits(&reference.initial), "k={k}: initial");
+            for (a, b) in fit.transitions.iter().zip(&reference.transitions) {
+                assert_eq!(bits(a), bits(b), "k={k}: transitions");
+            }
+            for (a, b) in fit.rates.iter().zip(&reference.rates) {
+                assert_eq!(bits(a), bits(b), "k={k}: rates");
+            }
+        }
     }
 
     #[test]

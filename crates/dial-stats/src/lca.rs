@@ -18,6 +18,8 @@ const MAX_ITER: usize = 500;
 const TOL: f64 = 1e-7;
 /// Rate floor: keeps zero-count classes from degenerating.
 const RATE_FLOOR: f64 = 1e-4;
+/// Rows per E-step task: one result vector per block instead of per row.
+const E_STEP_BLOCK: usize = 64;
 
 /// Latent class model specification.
 #[derive(Debug, Clone, Copy)]
@@ -130,7 +132,12 @@ impl LcaModel {
         let d = data[0].len();
         assert!(data.iter().all(|r| r.len() == d), "ragged data");
         assert!(init.len() == n, "one responsibility row per observation");
-        let mut resp = init;
+        assert!(init.iter().all(|r| r.len() == k), "one responsibility per class");
+        // Responsibilities, row-major `n × k`.
+        let mut resp: Vec<f64> = init.into_iter().flatten().collect();
+        // `ln(y!)` per row and dimension, row-major `n × d`: fixed for the fit.
+        let ln_fact: Vec<f64> =
+            data.iter().flatten().map(|y| ln_factorial(y.round() as u64)).collect();
 
         let mut weights = vec![1.0 / k as f64; k];
         let mut rates = vec![vec![1.0; d]; k];
@@ -144,11 +151,12 @@ impl LcaModel {
             // per-class serial sums over observations are untouched, so
             // the floats match the legacy loop bit-for-bit.
             let per_class: Vec<(f64, Vec<f64>)> = dial_par::parallel_map((0..k).collect(), |c| {
-                let nc: f64 = resp.iter().map(|r| r[c]).sum();
+                let nc: f64 = resp.chunks_exact(k).map(|r| r[c]).sum();
                 let weight = (nc / n as f64).max(1e-10);
                 let class_rates: Vec<f64> = (0..d)
                     .map(|dd| {
-                        let s: f64 = resp.iter().zip(data).map(|(r, row)| r[c] * row[dd]).sum();
+                        let s: f64 =
+                            resp.chunks_exact(k).zip(data).map(|(r, row)| r[c] * row[dd]).sum();
                         (s / nc.max(1e-12)).max(RATE_FLOOR)
                     })
                     .collect();
@@ -161,27 +169,40 @@ impl LcaModel {
             let wsum: f64 = weights.iter().sum();
             weights.iter_mut().for_each(|w| *w /= wsum);
 
-            // E-step: per-row posteriors fan out; the log-likelihood folds
-            // serially over the ordered norms, preserving the legacy
-            // accumulation order exactly.
-            let fit = LcaFit {
-                k,
-                d,
-                n,
-                weights: weights.clone(),
-                rates: rates.clone(),
-                log_lik: 0.0,
-                iterations,
-            };
-            let posteriors: Vec<(Vec<f64>, f64)> = dial_par::parallel_map((0..n).collect(), |i| {
-                let lj = fit.log_joint(&data[i]);
-                let norm = log_sum_exp(&lj);
-                (lj.iter().map(|l| (l - norm).exp()).collect(), norm)
+            // E-step: `ln π_c` and `ln λ_cd` are taken once per iteration,
+            // by the expressions `LcaFit::log_joint` uses, so each row's log
+            // joint has its bits; blocks of rows overwrite their
+            // responsibilities in place. The log-likelihood folds serially
+            // over the ordered per-row norms, in row order.
+            let ln_weights: Vec<f64> = weights.iter().map(|w| w.max(1e-300).ln()).collect();
+            let ln_rates: Vec<f64> = rates.iter().flatten().map(|lam| lam.ln()).collect();
+            let blocks: Vec<(usize, &mut [f64])> =
+                resp.chunks_mut(E_STEP_BLOCK * k).enumerate().collect();
+            let norms: Vec<Vec<f64>> = dial_par::parallel_map(blocks, |(b, block)| {
+                let first = b * E_STEP_BLOCK;
+                block
+                    .chunks_exact_mut(k)
+                    .enumerate()
+                    .map(|(j, lj)| {
+                        let i = first + j;
+                        let (row, lf) = (&data[i], &ln_fact[i * d..(i + 1) * d]);
+                        for (c, l) in lj.iter_mut().enumerate() {
+                            let (lr, lam) = (&ln_rates[c * d..(c + 1) * d], &rates[c]);
+                            let mut ll = ln_weights[c];
+                            for dd in 0..d {
+                                ll += row[dd] * lr[dd] - lam[dd] - lf[dd];
+                            }
+                            *l = ll;
+                        }
+                        let norm = log_sum_exp(lj);
+                        lj.iter_mut().for_each(|l| *l = (*l - norm).exp());
+                        norm
+                    })
+                    .collect()
             });
             let mut new_ll = 0.0;
-            for (i, (row, norm)) in posteriors.into_iter().enumerate() {
+            for norm in norms.iter().flatten() {
                 new_ll += norm;
-                resp[i] = row;
             }
 
             let improved = (new_ll - log_lik) / n as f64;
@@ -263,6 +284,77 @@ mod tests {
             data.push(rates[c].iter().map(|l| poisson_draw(*l, rng)).collect());
         }
         (data, truth)
+    }
+
+    /// `fit_with_init` as it was before the E-step hoisted its logarithms:
+    /// each iteration clones the fit to call [`LcaFit::log_joint`], which
+    /// takes `ln π_c`, `ln λ_cd` and `ln y!` afresh for every row.
+    fn reference_fit(k: usize, data: &[Vec<f64>], init: Vec<Vec<f64>>) -> LcaFit {
+        let n = data.len();
+        let d = data[0].len();
+        let mut resp = init;
+        let mut weights = vec![1.0 / k as f64; k];
+        let mut rates = vec![vec![1.0; d]; k];
+        let mut log_lik = f64::NEG_INFINITY;
+        let mut iterations = 0;
+        for iter in 1..=MAX_ITER {
+            iterations = iter;
+            for c in 0..k {
+                let nc: f64 = resp.iter().map(|r| r[c]).sum();
+                weights[c] = (nc / n as f64).max(1e-10);
+                rates[c] = (0..d)
+                    .map(|dd| {
+                        let s: f64 = resp.iter().zip(data).map(|(r, row)| r[c] * row[dd]).sum();
+                        (s / nc.max(1e-12)).max(RATE_FLOOR)
+                    })
+                    .collect();
+            }
+            let wsum: f64 = weights.iter().sum();
+            weights.iter_mut().for_each(|w| *w /= wsum);
+            let fit = LcaFit {
+                k,
+                d,
+                n,
+                weights: weights.clone(),
+                rates: rates.clone(),
+                log_lik: 0.0,
+                iterations,
+            };
+            let mut new_ll = 0.0;
+            for (i, row) in data.iter().enumerate() {
+                let lj = fit.log_joint(row);
+                let norm = log_sum_exp(&lj);
+                resp[i] = lj.iter().map(|l| (l - norm).exp()).collect();
+                new_ll += norm;
+            }
+            let improved = (new_ll - log_lik) / n as f64;
+            log_lik = new_ll;
+            if improved.abs() < TOL {
+                break;
+            }
+        }
+        LcaFit { k, d, n, weights, rates, log_lik, iterations }
+    }
+
+    #[test]
+    fn fit_matches_log_joint_reference_bitwise() {
+        let mut rng = ChaCha8Rng::seed_from_u64(41);
+        // 300 rows: several E-step blocks, the last one partial.
+        let (data, _) = planted(300, &mut rng);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for k in 1..=4 {
+            let model = LcaModel { k };
+            let init = model.draw_init(data.len(), &mut rng);
+            let fit = model.fit_with_init(&data, init.clone());
+            let reference = reference_fit(k, &data, init);
+            assert_eq!(fit.iterations, reference.iterations, "k={k}: iterations");
+            assert_eq!(fit.log_lik.to_bits(), reference.log_lik.to_bits(), "k={k}: log-lik");
+            assert_eq!(bits(&fit.weights), bits(&reference.weights), "k={k}: weights");
+            for (a, b) in fit.rates.iter().zip(&reference.rates) {
+                assert_eq!(bits(a), bits(b), "k={k}: rates");
+            }
+            assert!(k == 1 || fit.iterations > 3, "k={k}: fixture converges too fast");
+        }
     }
 
     #[test]

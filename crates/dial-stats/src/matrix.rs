@@ -78,19 +78,25 @@ impl Matrix {
     }
 
     /// `Xᵀ W X` for a diagonal weight vector `w` (the IRLS normal matrix).
+    ///
+    /// Walks the row-major buffers as slices; every upper-triangle cell adds
+    /// its terms in row order, which the IRLS fits' output bits rely on.
     pub fn xtwx(&self, w: &[f64]) -> Matrix {
         assert_eq!(w.len(), self.rows);
         let p = self.cols;
         let mut out = Matrix::zeros(p, p);
-        for (i, &wi) in w.iter().enumerate() {
-            let row = self.row(i);
-            for a in 0..p {
-                let wa = wi * row[a];
+        if p == 0 {
+            return out;
+        }
+        for (row, &wi) in self.data.chunks_exact(p).zip(w) {
+            for (a, &xa) in row.iter().enumerate() {
+                let wa = wi * xa;
                 if wa == 0.0 {
                     continue;
                 }
-                for b in a..p {
-                    out[(a, b)] += wa * row[b];
+                let upper = &mut out.data[a * p + a..(a + 1) * p];
+                for (o, &xb) in upper.iter_mut().zip(&row[a..]) {
+                    *o += wa * xb;
                 }
             }
         }
@@ -114,8 +120,8 @@ impl Matrix {
             if wz == 0.0 {
                 continue;
             }
-            for (a, o) in out.iter_mut().enumerate() {
-                *o += self.row(i)[a] * wz;
+            for (o, x) in out.iter_mut().zip(self.row(i)) {
+                *o += x * wz;
             }
         }
         out
@@ -308,6 +314,45 @@ mod tests {
                 assert!((v - expect).abs() < 1e-10, "A·A⁻¹[{j},{i}] = {v}");
             }
         }
+    }
+
+    #[test]
+    #[allow(clippy::needless_range_loop)]
+    fn xtwx_matches_indexed_form_bitwise() {
+        // The per-cell indexed accumulation xtwx used before it walked
+        // slices; zero weights and zero covariates exercise the skip.
+        let rows: Vec<Vec<f64>> = (0..40)
+            .map(|i| {
+                let t = f64::from(i);
+                vec![1.0, (t * 0.37).sin(), if i % 5 == 0 { 0.0 } else { t.sqrt() }, t * 0.01]
+            })
+            .collect();
+        let x = Matrix::from_rows(&rows);
+        let w: Vec<f64> =
+            (0..40).map(|i| if i % 7 == 0 { 0.0 } else { 0.1 + f64::from(i % 9) / 3.0 }).collect();
+        let p = x.cols();
+        let mut expect = Matrix::zeros(p, p);
+        for (i, &wi) in w.iter().enumerate() {
+            let row = x.row(i);
+            for a in 0..p {
+                let wa = wi * row[a];
+                if wa == 0.0 {
+                    continue;
+                }
+                for b in a..p {
+                    expect[(a, b)] += wa * row[b];
+                }
+            }
+        }
+        for a in 0..p {
+            for b in (a + 1)..p {
+                expect[(b, a)] = expect[(a, b)];
+            }
+        }
+        let got = x.xtwx(&w);
+        let bits = |m: &Matrix| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&expect));
+        assert_eq!(Matrix::zeros(3, 0).xtwx(&[1.0, 2.0, 3.0]), Matrix::zeros(0, 0));
     }
 
     #[test]
