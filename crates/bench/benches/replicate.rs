@@ -12,7 +12,7 @@
 //! whether adding followers actually buys read capacity.
 //!
 //! Headline figures land in `BENCH_replicate.json` at the repo root,
-//! alongside `BENCH_store.json` and `BENCH_stream.json`.
+//! alongside `BENCH_store.json`.
 
 use criterion::{criterion_group, Criterion};
 use dial_replicate::rank_replicas;

@@ -10,8 +10,8 @@
 //! log replays) and times the full recovery state machine: CRC scan,
 //! JSON decode, aggregate replay, and the per-seal fingerprint proof.
 //!
-//! Headline figures land in `BENCH_store.json` at the repo root,
-//! alongside `BENCH_stream.json`, so the trajectory is tracked in-tree.
+//! Headline figures land in `BENCH_store.json` at the repo root, so the
+//! trajectory is tracked in-tree.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dial_sim::SimConfig;
@@ -21,8 +21,8 @@ use std::hint::black_box;
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Same collector shape as `benches/stream.rs`: figures accumulate here
-/// and the last group member flushes them to `BENCH_store.json`.
+/// Figures accumulate here and the last group member flushes them to
+/// `BENCH_store.json`.
 static HEADLINES: Mutex<Vec<(&'static str, f64)>> = Mutex::new(Vec::new());
 
 fn record(name: &'static str, value: f64) {

@@ -31,16 +31,52 @@ const fn build_table() -> [u32; 256] {
     table
 }
 
-static CRC_TABLE: [u32; 256] = build_table();
+/// The slicing-by-8 tables: `t[0]` is the byte-at-a-time table and
+/// `t[k][i]` is the CRC register after `i` is followed by `k` zero bytes,
+/// so one step can fold eight input bytes with eight lookups.
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut t = [build_table(); 8];
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+static CRC_TABLES: [[u32; 256]; 8] = build_tables();
+
+/// Folds one byte into the CRC register.
+fn crc_byte(crc: u32, b: u8) -> u32 {
+    (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize]
+}
 
 /// CRC-32 (IEEE 802.3) over `kind` followed by `payload` — the exact bytes
-/// the checksum field in a frame header protects.
+/// the checksum field in a frame header protects. Computed slicing-by-8:
+/// the same polynomial, initial value and final XOR as a byte-at-a-time
+/// loop, so every checksum is bit-equal to one.
 pub fn record_crc(kind: u8, payload: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in std::iter::once(&kind).chain(payload.iter()) {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let t = &CRC_TABLES;
+    let mut crc = crc_byte(0xFFFF_FFFF, kind);
+    let mut chunks = payload.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
     }
-    !crc
+    !chunks.remainder().iter().fold(crc, |crc, &b| crc_byte(crc, b))
 }
 
 /// Appends one framed record to `out`.
@@ -105,15 +141,52 @@ pub fn decode(buf: &[u8], off: usize) -> Result<(u8, &[u8], usize), FrameError> 
 mod tests {
     use super::*;
 
+    /// The byte-at-a-time CRC the sliced one must equal.
+    fn record_crc_bytewise(kind: u8, payload: &[u8]) -> u32 {
+        !std::iter::once(&kind).chain(payload).fold(0xFFFF_FFFF, |crc, &b| crc_byte(crc, b))
+    }
+
     #[test]
     fn crc_matches_known_vector() {
         // IEEE CRC-32 of "123456789" is 0xCBF43926; our record CRC prefixes
         // the kind byte, so check the raw polynomial via a kindless probe.
-        let mut crc = 0xFFFF_FFFFu32;
-        for &b in b"123456789" {
-            crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-        }
+        let crc = b"123456789".iter().fold(0xFFFF_FFFF, |crc, &b| crc_byte(crc, b));
         assert_eq!(!crc, 0xCBF4_3926);
+    }
+
+    #[test]
+    fn sliced_crc_equals_the_bytewise_reference() {
+        // A deterministic pseudo-random buffer, so every table sees every
+        // byte value in every lane.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let buf: Vec<u8> = (0..(1 << 20))
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect();
+        for kind in [KIND_EVENT, KIND_SEAL] {
+            for len in 0..=64 {
+                assert_eq!(
+                    record_crc(kind, &buf[..len]),
+                    record_crc_bytewise(kind, &buf[..len]),
+                    "kind {kind}, length {len}"
+                );
+            }
+            assert_eq!(record_crc(kind, &buf), record_crc_bytewise(kind, &buf), "kind {kind}");
+        }
+    }
+
+    #[test]
+    fn frame_bytes_are_pinned() {
+        let mut buf = Vec::new();
+        encode(KIND_EVENT, b"{\"Watermark\":{\"month\":[2019,3]}}", &mut buf);
+        // Magic, kind, length 32 LE, then the CRC-32 of kind + payload LE
+        // (zlib.crc32(b"\x01" + payload) == 0xF1416D81).
+        assert_eq!(buf[..HEADER_BYTES], [0xD5, 1, 32, 0, 0, 0, 0x81, 0x6D, 0x41, 0xF1]);
+        assert_eq!(&buf[HEADER_BYTES..], b"{\"Watermark\":{\"month\":[2019,3]}}");
     }
 
     #[test]

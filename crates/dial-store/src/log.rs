@@ -486,8 +486,12 @@ impl SegmentLog {
     /// serving from memory, but this seal is not durable.
     pub fn append_seal(&mut self, events: &[Event], delta: &SealDelta) -> Result<(), StoreError> {
         let mut buf = Vec::with_capacity(events.len() * 128 + 512);
+        // One payload buffer for the whole batch: the serializer appends
+        // to a `String`, so each event reuses the last one's allocation.
+        let mut payload = String::new();
         for ev in events {
-            let payload = serde_json::to_string(ev).expect("event serialises");
+            payload.clear();
+            ev.serialize_json(&mut payload);
             frame::encode(KIND_EVENT, payload.as_bytes(), &mut buf);
         }
         frame::encode(KIND_SEAL, delta.to_json().as_bytes(), &mut buf);
