@@ -15,6 +15,11 @@ set -eu
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> cargo fmt --check (vendored crates: outside the workspace, so checked one by one)"
+for manifest in vendor/*/Cargo.toml; do
+    cargo fmt --check --manifest-path "$manifest"
+done
+
 echo "==> cargo clippy (workspace, all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 

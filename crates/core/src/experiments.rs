@@ -11,14 +11,15 @@ use crate::{
 use dial_chain::Ledger;
 use dial_model::{ContractType, Dataset};
 use dial_time::{Era, MonthlySeries, YearMonth};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Everything an experiment runner may read.
 pub struct ExperimentContext {
-    /// The dataset under analysis.
-    pub dataset: Dataset,
-    /// The simulated blockchain.
-    pub ledger: Ledger,
+    /// The dataset under analysis, shared with whoever else holds this
+    /// sealed prefix (a live stream engine, a checkpoint).
+    pub dataset: Arc<Dataset>,
+    /// The simulated blockchain, shared the same way.
+    pub ledger: Arc<Ledger>,
     /// Seed for the stochastic analyses (k-means, LCA).
     pub seed: u64,
     /// Latent-class count for the LTM (the paper selects 12).
@@ -29,9 +30,20 @@ pub struct ExperimentContext {
 }
 
 impl ExperimentContext {
-    /// Builds a context.
-    pub fn new(dataset: Dataset, ledger: Ledger, seed: u64, lca_classes: usize) -> Self {
-        Self { dataset, ledger, seed, lca_classes, ltm_cache: OnceLock::new() }
+    /// Builds a context over owned parts or over shared handles.
+    pub fn new(
+        dataset: impl Into<Arc<Dataset>>,
+        ledger: impl Into<Arc<Ledger>>,
+        seed: u64,
+        lca_classes: usize,
+    ) -> Self {
+        Self {
+            dataset: dataset.into(),
+            ledger: ledger.into(),
+            seed,
+            lca_classes,
+            ltm_cache: OnceLock::new(),
+        }
     }
 
     /// The shared latent-class analysis (fitted once per context).

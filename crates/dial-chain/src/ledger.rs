@@ -78,8 +78,32 @@ impl Ledger {
         ledger
     }
 
+    /// Brings `self`, a prefix of `newer`, up to `newer` by cloning and
+    /// indexing only the transactions past its own length, and adopts
+    /// `newer`'s content digest instead of re-hashing them: the contents
+    /// are then identical. See `Dataset::catch_up`.
+    ///
+    /// # Panics
+    /// Panics if `self` holds more transactions than `newer`; that `self`
+    /// is a prefix of `newer` is the caller's contract.
+    pub fn catch_up(&mut self, newer: &Ledger) {
+        let from = self.txs.len();
+        assert!(
+            from <= newer.txs.len(),
+            "catch_up from a shorter ledger: {from} > {}",
+            newer.txs.len()
+        );
+        for (idx, tx) in newer.txs.iter().enumerate().skip(from) {
+            self.by_hash.insert(tx.hash.clone(), idx);
+            self.by_address.entry(tx.to_address.clone()).or_default().push(idx);
+        }
+        self.txs.extend_from_slice(&newer.txs[from..]);
+        self.digest = newer.digest.clone();
+    }
+
     /// Indexes, hashes and stores `tx` — the one path every transaction
-    /// enters by. Returns whether its hash was already indexed.
+    /// enters by, apart from [`Ledger::catch_up`], which copies an
+    /// already-indexed one. Returns whether its hash was already indexed.
     fn take_in(&mut self, tx: ChainTx) -> bool {
         let idx = self.txs.len();
         let duplicate = self.by_hash.insert(tx.hash.clone(), idx).is_some();

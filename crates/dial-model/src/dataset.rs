@@ -142,6 +142,35 @@ impl Dataset {
         extend(&mut self.posts, posts);
     }
 
+    /// Brings `self`, a sealed prefix of `newer`, up to `newer` by cloning
+    /// only the entities past its own lengths and indexing the new
+    /// contracts. The contents are then identical, so `newer`'s content
+    /// digest is adopted instead of re-hashing the delta. This is what lets
+    /// a stream engine refresh a spare copy of its prefix in O(delta).
+    ///
+    /// # Panics
+    /// Panics if any collection of `self` is longer than `newer`'s; that
+    /// `self` is a prefix of `newer` is the caller's contract.
+    pub fn catch_up(&mut self, newer: &Dataset) {
+        let lens = [self.users.len(), self.contracts.len(), self.threads.len(), self.posts.len()];
+        let newer_lens =
+            [newer.users.len(), newer.contracts.len(), newer.threads.len(), newer.posts.len()];
+        assert!(
+            lens.iter().zip(&newer_lens).all(|(own, new)| own <= new),
+            "catch_up from a shorter dataset: {lens:?} > {newer_lens:?}"
+        );
+        let fresh = &newer.contracts[self.contracts.len()..];
+        for c in fresh {
+            self.by_maker.entry(c.maker).or_default().push(c.id);
+            self.by_taker.entry(c.taker).or_default().push(c.id);
+        }
+        self.contracts.extend_from_slice(fresh);
+        self.users.extend_from_slice(&newer.users[self.users.len()..]);
+        self.threads.extend_from_slice(&newer.threads[self.threads.len()..]);
+        self.posts.extend_from_slice(&newer.posts[self.posts.len()..]);
+        self.digest = newer.digest.clone();
+    }
+
     /// All members.
     pub fn users(&self) -> &[User] {
         &self.users

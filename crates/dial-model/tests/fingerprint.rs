@@ -1,12 +1,13 @@
 //! The incremental content fingerprints against batch builds: however a
 //! simulated history is split into `append`/`insert` runs, the whole and
 //! per-era fingerprints equal those of the batch-built dataset and ledger.
+//! A prefix brought up to a longer one with `catch_up` is that longer one.
 
 use dial_chain::{ChainTx, Ledger};
 use dial_model::fingerprint::era_of_clamped;
-use dial_model::{Contract, Dataset, Post, Thread, User};
+use dial_model::{Contract, Dataset, Post, Thread, User, UserId};
 use dial_sim::{SimConfig, SimOutput};
-use dial_time::Era;
+use dial_time::{Date, Era, Timestamp};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -158,4 +159,147 @@ fn era_fingerprints_are_stable_distinct_and_delta_sensitive() {
     assert_eq!(cut[0], fps[0]);
     assert_eq!(cut[1], fps[1]);
     assert_ne!(cut[2], fps[2]);
+}
+
+/// The dataset holding the first `frac` of each kind of entity, raised
+/// only as far as its own contracts and posts reference. Prefixes taken
+/// at `a <= b` nest: the `a` prefix is a prefix of the `b` one.
+fn dataset_prefix(out: &SimOutput, frac: f64) -> Dataset {
+    let ds = &out.dataset;
+    let at = |len: usize| ((frac * len as f64) as usize).min(len);
+    let (c, p) = (at(ds.contracts().len()), at(ds.posts().len()));
+    let users_for_contracts =
+        referenced_prefix(ds.contracts(), |c: &Contract| vec![c.maker.index(), c.taker.index()]);
+    let threads_for_contracts = referenced_prefix(ds.contracts(), |c: &Contract| {
+        c.thread.iter().map(|t| t.index()).collect()
+    });
+    let users_for_posts = referenced_prefix(ds.posts(), |p: &Post| vec![p.author.index()]);
+    let threads_for_posts = referenced_prefix(ds.posts(), |p: &Post| vec![p.thread.index()]);
+    let u = at(ds.users().len()).max(users_for_contracts[c]).max(users_for_posts[p]);
+    let t = at(ds.threads().len()).max(threads_for_contracts[c]).max(threads_for_posts[p]);
+    Dataset::new(
+        slice(ds.users(), 0, u),
+        slice(ds.contracts(), 0, c),
+        slice(ds.threads(), 0, t),
+        slice(ds.posts(), 0, p),
+    )
+}
+
+/// The simulated chain plus synthetic transactions spread over all three
+/// eras and seven shared addresses, so the hash and address indexes have
+/// something to answer at this scale.
+fn chain_txs(out: &SimOutput) -> Vec<ChainTx> {
+    let mut txs: Vec<ChainTx> = out.ledger.iter().cloned().collect();
+    txs.extend((0..60u8).map(|i| ChainTx {
+        hash: format!("{i:064x}"),
+        to_address: format!("1Addr{}", i % 7),
+        value_usd: 10.0 + f64::from(i) * 1.5,
+        confirmed_at: Timestamp::at(
+            Date::from_ymd(2018 + i32::from(i / 20), 1 + i % 12, 1 + i % 28),
+            12,
+            0,
+        ),
+    }));
+    txs
+}
+
+fn ledger_prefix(txs: &[ChainTx], frac: f64) -> Ledger {
+    let mut ledger = Ledger::new();
+    for tx in &txs[..((frac * txs.len() as f64) as usize).min(txs.len())] {
+        ledger.insert(tx.clone());
+    }
+    ledger
+}
+
+fn json(value: &impl serde::Serialize) -> String {
+    serde_json::to_string(value).expect("serialises")
+}
+
+/// Every per-user index answer, as contract ids.
+fn user_index(ds: &Dataset) -> Vec<(Vec<u32>, Vec<u32>)> {
+    (0..ds.users().len())
+        .map(|u| {
+            let user = UserId(u as u32);
+            (
+                ds.contracts_made_by(user).map(|c| c.id.0).collect(),
+                ds.contracts_offered_to(user).map(|c| c.id.0).collect(),
+            )
+        })
+        .collect()
+}
+
+/// Every hash and address lookup the ledger answers.
+fn ledger_index(ledger: &Ledger, txs: &[ChainTx]) -> Vec<(bool, usize)> {
+    let (from, to) = (
+        Timestamp::at(Date::from_ymd(2010, 1, 1), 0, 0),
+        Timestamp::at(Date::from_ymd(2030, 1, 1), 0, 0),
+    );
+    txs.iter()
+        .map(|tx| {
+            let by_hash = ledger.by_hash(&tx.hash).is_some_and(|found| found == tx);
+            (by_hash, ledger.to_address_within(&tx.to_address, from, to).len())
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A prefix caught up from a longer prefix is that longer prefix: the
+    /// same bytes, fingerprints and index answers, and appending the rest
+    /// of the history to it still fingerprints like the batch build.
+    #[test]
+    fn a_caught_up_prefix_is_the_longer_prefix(x in 0.0f64..=1.0, y in 0.0f64..=1.0) {
+        let out = market();
+        let (a, b) = (x.min(y), x.max(y));
+        let mut caught = dataset_prefix(out, a);
+        let target = dataset_prefix(out, b);
+        caught.catch_up(&target);
+        prop_assert_eq!(json(&caught), json(&target));
+        prop_assert_eq!(caught.fingerprint(), target.fingerprint());
+        for era in Era::ALL {
+            prop_assert_eq!(caught.era_fingerprint(era), target.era_fingerprint(era));
+        }
+        prop_assert_eq!(user_index(&caught), user_index(&target));
+
+        let ds = &out.dataset;
+        caught.append(
+            ds.users()[caught.users().len()..].to_vec(),
+            ds.contracts()[caught.contracts().len()..].to_vec(),
+            ds.threads()[caught.threads().len()..].to_vec(),
+            ds.posts()[caught.posts().len()..].to_vec(),
+        );
+        prop_assert_eq!(caught.fingerprint(), ds.fingerprint());
+        prop_assert_eq!(user_index(&caught), user_index(ds));
+
+        let txs = chain_txs(out);
+        let mut caught = ledger_prefix(&txs, a);
+        let target = ledger_prefix(&txs, b);
+        caught.catch_up(&target);
+        prop_assert_eq!(json(&caught), json(&target));
+        prop_assert_eq!(caught.fingerprint(), target.fingerprint());
+        for era in Era::ALL {
+            prop_assert_eq!(caught.era_fingerprint(era), target.era_fingerprint(era));
+        }
+        prop_assert_eq!(ledger_index(&caught, &txs), ledger_index(&target, &txs));
+        for tx in &txs[caught.len()..] {
+            caught.insert(tx.clone());
+        }
+        prop_assert_eq!(caught.fingerprint(), ledger_prefix(&txs, 1.0).fingerprint());
+    }
+}
+
+#[test]
+#[should_panic(expected = "catch_up from a shorter dataset")]
+fn a_dataset_does_not_catch_up_from_a_shorter_one() {
+    let mut longer = dataset_prefix(market(), 0.6);
+    longer.catch_up(&dataset_prefix(market(), 0.3));
+}
+
+#[test]
+#[should_panic(expected = "catch_up from a shorter ledger")]
+fn a_ledger_does_not_catch_up_from_a_shorter_one() {
+    let txs = chain_txs(market());
+    let mut longer = ledger_prefix(&txs, 0.6);
+    longer.catch_up(&ledger_prefix(&txs, 0.3));
 }

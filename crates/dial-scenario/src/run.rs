@@ -80,15 +80,13 @@ pub fn compare(scenario: &Scenario, opts: &CompareOptions) -> Result<Comparison,
     let (baseline_engine, baseline_summary) = seal(&baseline_out)?;
     let (counterfactual_engine, counterfactual_summary) = seal(&counterfactual_out)?;
 
-    let baseline_ctx = ExperimentContext::new(
-        baseline_engine.dataset().clone(),
-        baseline_engine.ledger().clone(),
-        scenario.seed,
-        opts.lca_classes,
-    );
+    let (baseline_dataset, baseline_ledger) = baseline_engine.shared();
+    let baseline_ctx =
+        ExperimentContext::new(baseline_dataset, baseline_ledger, scenario.seed, opts.lca_classes);
+    let (counterfactual_dataset, counterfactual_ledger) = counterfactual_engine.shared();
     let counterfactual_ctx = ExperimentContext::new(
-        counterfactual_engine.dataset().clone(),
-        counterfactual_engine.ledger().clone(),
+        counterfactual_dataset,
+        counterfactual_ledger,
         scenario.seed,
         opts.lca_classes,
     );

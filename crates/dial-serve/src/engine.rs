@@ -419,12 +419,7 @@ impl Engine {
         store: Option<SegmentLog>,
         recovery: Option<RecoveryReport>,
     ) -> Self {
-        let snapshot = SnapshotStore::from_parts(
-            stream.dataset().clone(),
-            stream.ledger().clone(),
-            seed,
-            lca_classes,
-        );
+        let snapshot = sealed_snapshot(&stream, seed, lca_classes);
         let mut engine = Self::new(snapshot, experiments, threads, queue_capacity);
         if let Some(report) = &recovery {
             engine.metrics.store_recovered(report.replayed_seals, report.replayed_events);
@@ -695,6 +690,10 @@ impl Engine {
                         }
                     }
                 };
+                // Release the snapshot before answering: a reader that
+                // has answered must not pin the sealed prefix the stream
+                // engine's next seal wants to reuse.
+                drop(ctx);
                 // The receiver may have given up; a dead letter is fine.
                 let _ = tx.send(result);
             })
@@ -851,14 +850,7 @@ impl Engine {
                         ls.unsealed.push(ev);
                     }
                     self.persist_seal(ls, &delta);
-                    let store = Arc::new(SnapshotStore::from_parts(
-                        ls.engine.dataset().clone(),
-                        ls.engine.ledger().clone(),
-                        self.seed,
-                        self.lca_classes,
-                    ));
-                    // lint:allow(unwrap-in-serve): lock poisoning means a sibling already panicked; propagating is the designed failure mode
-                    *self.store.write().expect("store lock") = store;
+                    self.swap_in(&ls.engine);
                     self.publish(live, &delta);
                 }
                 Err(gap) => {
@@ -876,6 +868,16 @@ impl Engine {
             pending: ls.engine.pending_len(),
             snapshot: self.store().fingerprint().to_string(),
         })
+    }
+
+    /// Publishes the stream's sealed prefix as the current snapshot. The
+    /// old snapshot's handle is released here, which is what frees the
+    /// stream engine's spare buffer for the next seal unless a reader
+    /// still pins it.
+    fn swap_in(&self, stream: &StreamEngine) {
+        let store = Arc::new(sealed_snapshot(stream, self.seed, self.lca_classes));
+        // lint:allow(unwrap-in-serve): lock poisoning means a sibling already panicked; propagating is the designed failure mode
+        *self.store.write().expect("store lock") = store;
     }
 
     /// Flushes the just-sealed batch to the durable log (commit-then-log:
@@ -1189,14 +1191,7 @@ impl Engine {
             ls.unsealed.extend(evs);
         }
         self.persist_seal(ls, &delta);
-        let store = Arc::new(SnapshotStore::from_parts(
-            ls.engine.dataset().clone(),
-            ls.engine.ledger().clone(),
-            self.seed,
-            self.lca_classes,
-        ));
-        // lint:allow(unwrap-in-serve): lock poisoning means a sibling already panicked; propagating is the designed failure mode
-        *self.store.write().expect("store lock") = store;
+        self.swap_in(&ls.engine);
         drop(guard);
         self.publish(live, &delta);
         self.with_sync_status(|s| {
@@ -1309,6 +1304,13 @@ impl Engine {
         self.metrics.drain_abandoned(abandoned.len() as u64);
         abandoned
     }
+}
+
+/// A snapshot over the stream's sealed prefix: it shares the prefix
+/// rather than copying it.
+fn sealed_snapshot(stream: &StreamEngine, seed: u64, lca_classes: usize) -> SnapshotStore {
+    let (dataset, ledger) = stream.shared();
+    SnapshotStore::from_parts(dataset, ledger, seed, lca_classes)
 }
 
 /// The SSE frames one seal publishes: an `era` frame when it crossed an
@@ -1708,6 +1710,96 @@ mod tests {
         assert_eq!(sv.get("role").as_str(), Some("leader"));
         assert!(sv.get("stats").get("sealed_seq").as_u64().is_some());
         assert!(sv.as_object().is_some_and(|o| o.contains_key("sync")));
+    }
+
+    /// Whether the served snapshot is the stream engine's own sealed
+    /// prefix, not a copy of it, and how many seals so far copied the
+    /// whole prefix. Every handle taken here is released on return.
+    fn publishes_shared_prefix(engine: &Engine) -> (bool, u64) {
+        let ctx = engine.store().context();
+        let live = engine.live.as_ref().expect("live engine");
+        let guard = live.stream.lock().unwrap();
+        let (dataset, ledger) = guard.engine.shared();
+        let shared = Arc::ptr_eq(&ctx.dataset, &dataset) && Arc::ptr_eq(&ctx.ledger, &ledger);
+        (shared, guard.engine.prefix_copies())
+    }
+
+    #[test]
+    fn live_seals_publish_the_sealed_prefix_without_copying_it() {
+        let engine = Engine::new_live(9, 3, Vec::new(), 1, 4, 1 << 20);
+        assert_eq!(publishes_shared_prefix(&engine), (true, 0), "the empty prefix is shared");
+        let out = SimConfig::paper_default().with_seed(9).with_scale(0.01).simulate_full();
+        for seg in dial_stream::segments(&out) {
+            engine.ingest(&dial_stream::encode_ndjson(&seg)).unwrap();
+            // Only the first seal after the prefix was first shared has
+            // no spare to catch up, so it is the one full copy.
+            assert_eq!(publishes_shared_prefix(&engine), (true, 1));
+        }
+        let (batch, _) = dial_stream::replay_sealed(dial_stream::segments(&out)).unwrap();
+        assert_eq!(engine.store().fingerprint(), sealed_snapshot(&batch, 9, 3).fingerprint());
+    }
+
+    #[test]
+    fn a_pinned_snapshot_forces_a_full_copy_and_stays_exact() {
+        let out = SimConfig::paper_default().with_seed(9).with_scale(0.01).simulate_full();
+        let segs = dial_stream::segments(&out);
+        let (_, reference) = dial_stream::replay_sealed(segs.clone()).unwrap();
+        let table1 = crate::registry_experiments().into_iter().find(|e| e.id == "table1").unwrap();
+        let engine = Engine::new_live(9, 3, Vec::new(), 1, 4, 1 << 20);
+        let ingest = |m: usize| {
+            let report = engine.ingest(&dial_stream::encode_ndjson(&segs[m])).unwrap();
+            assert_eq!(report.snapshot, reference[m].fingerprint, "seal {m}");
+        };
+        let k = 3;
+        for m in 0..k {
+            ingest(m);
+        }
+        let pinned = engine.store();
+        let (batch, _) = dial_stream::replay_sealed(segs[..k].iter().cloned()).unwrap();
+        let batch = sealed_snapshot(&batch, 9, 3);
+        let body = (table1.run)(&pinned.context());
+        assert_eq!(body, (table1.run)(&batch.context()));
+        assert_eq!(publishes_shared_prefix(&engine), (true, 1));
+
+        // Seal k+1 catches up the spare; seal k+2 finds the spare pinned
+        // by this reader and copies the whole prefix instead.
+        ingest(k);
+        assert_eq!(publishes_shared_prefix(&engine), (true, 1));
+        ingest(k + 1);
+        assert_eq!(publishes_shared_prefix(&engine), (true, 2));
+        assert_eq!(pinned.fingerprint(), batch.fingerprint());
+        assert_eq!((table1.run)(&pinned.context()), body);
+
+        // Once the reader lets go, later seals go back to O(delta).
+        drop(pinned);
+        for m in k + 2..segs.len() {
+            ingest(m);
+            assert_eq!(publishes_shared_prefix(&engine), (true, 2));
+        }
+    }
+
+    #[test]
+    fn a_follower_without_readers_copies_the_prefix_once() {
+        use dial_store::{MemBackend, SegmentLog, StoreOptions};
+
+        let opts = StoreOptions::new(9, 3);
+        let (log, stream, report) = SegmentLog::open(Box::new(MemBackend::new()), opts).unwrap();
+        let leader = Engine::new_live_durable(9, 3, Vec::new(), 1, 4, 1 << 20, log, stream, report);
+        let out = SimConfig::paper_default().with_seed(9).with_scale(0.01).simulate_full();
+        let segs = dial_stream::segments(&out);
+        for seg in &segs {
+            leader.ingest(&dial_stream::encode_ndjson(seg)).unwrap();
+        }
+        // The leader's checkpoints share the prefix too.
+        assert_eq!(publishes_shared_prefix(&leader), (true, 1));
+
+        let follower = Engine::new_live(9, 3, Vec::new(), 1, 4, 1 << 20);
+        for seq in 0..segs.len() as u64 {
+            let bytes = leader.export_sync_batch(seq).unwrap();
+            assert_eq!(follower.apply_synced(&bytes), Ok(SyncApplied::Applied(seq)));
+            assert_eq!(publishes_shared_prefix(&follower), (true, 1), "seal {seq}");
+        }
+        assert_eq!(follower.store().fingerprint(), leader.store().fingerprint());
     }
 
     #[test]

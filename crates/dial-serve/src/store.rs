@@ -54,10 +54,16 @@ impl SnapshotStore {
         Ok(Self::from_parts(snap.dataset.reindex(), snap.ledger.reindex(), seed, lca_classes))
     }
 
-    /// Builds a store from in-memory parts. Every fingerprint is read
-    /// from the parts' content digests in O(1), so a live engine can
-    /// build one per seal.
-    pub fn from_parts(dataset: Dataset, ledger: Ledger, seed: u64, lca_classes: usize) -> Self {
+    /// Builds a store from in-memory parts, owned or shared. Every
+    /// fingerprint is read from the parts' content digests in O(1) and a
+    /// shared part is not copied, so a live engine can build one per seal.
+    pub fn from_parts(
+        dataset: impl Into<Arc<Dataset>>,
+        ledger: impl Into<Arc<Ledger>>,
+        seed: u64,
+        lca_classes: usize,
+    ) -> Self {
+        let (dataset, ledger) = (dataset.into(), ledger.into());
         // The fingerprints pair both content hashes: experiments read the
         // ledger too, so a dataset-only key would alias distinct snapshots.
         let fingerprint = format!("{:016x}-{:016x}", dataset.fingerprint(), ledger.fingerprint());

@@ -33,6 +33,7 @@ use dial_model::Dataset;
 use dial_stream::{Event, SealDelta, StreamEngine};
 use dial_time::YearMonth;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 use crate::backend::StoreEngine;
 use crate::frame::{self, KIND_EVENT, KIND_SEAL};
@@ -80,24 +81,26 @@ pub struct Checkpoint {
     pub fingerprint: String,
     /// Full seal history through `seq` (stream subscribers replay it).
     pub seals: Vec<SealDelta>,
-    /// The sealed dataset prefix.
-    pub dataset: Dataset,
-    /// The sealed ledger prefix.
-    pub ledger: Ledger,
+    /// The sealed dataset prefix (serialised exactly like a `Dataset`).
+    pub dataset: Arc<Dataset>,
+    /// The sealed ledger prefix (serialised exactly like a `Ledger`).
+    pub ledger: Arc<Ledger>,
 }
 
 impl Checkpoint {
     /// Captures the engine's sealed prefix; `None` before the first seal.
+    /// The prefix is shared with the engine, not copied.
     pub fn from_engine(engine: &StreamEngine) -> Option<Self> {
         let last = engine.seals().last()?;
+        let (dataset, ledger) = engine.shared();
         Some(Self {
             version: CHECKPOINT_VERSION,
             seq: last.seq,
             month: last.month,
             fingerprint: last.fingerprint.clone(),
             seals: engine.seals().to_vec(),
-            dataset: engine.dataset().clone(),
-            ledger: engine.ledger().clone(),
+            dataset,
+            ledger,
         })
     }
 }
@@ -736,8 +739,10 @@ fn rebuild(
 ) -> Result<(StreamEngine, u64, u64), StoreError> {
     let mut engine = match checkpoint {
         Some(c) => {
-            let dataset = c.dataset.reindex();
-            let ledger = c.ledger.reindex();
+            // A freshly decoded checkpoint is the only holder of its
+            // prefix, so unwrapping it copies nothing.
+            let dataset = Arc::unwrap_or_clone(c.dataset).reindex();
+            let ledger = Arc::unwrap_or_clone(c.ledger).reindex();
             let fp = format!("{:016x}-{:016x}", dataset.fingerprint(), ledger.fingerprint());
             if fp != c.fingerprint {
                 return Err(corrupt(format!(

@@ -22,6 +22,16 @@
 //! is infallible, so a failed or chaos-panicked seal leaves the engine
 //! exactly as it was — callers can catch the panic, report, and continue
 //! ingesting.
+//!
+//! The sealed prefix sits behind `Arc`, so a server publishing a snapshot
+//! per seal takes a handle ([`StreamEngine::shared`]) rather than a copy.
+//! A seal appends in place while the engine owns its prefix alone. While a
+//! snapshot still holds it, the seal appends to a spare buffer instead:
+//! the prefix published one seal earlier, brought up to date by cloning
+//! only the entities sealed since (`Dataset::catch_up`), which is
+//! O(delta). The two buffers then swap. Only the first seal after the
+//! prefix is first shared, or a seal whose spare a reader still pins,
+//! copies the whole prefix.
 
 use crate::aggregates::StreamAggregates;
 use crate::event::Event;
@@ -29,6 +39,7 @@ use dial_chain::{ChainTx, Ledger};
 use dial_model::{Contract, Dataset, Post, Thread, User};
 use dial_time::{Era, YearMonth};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Why an event batch (or a seal) was rejected. The engine state is
 /// unchanged when any of these is returned.
@@ -125,8 +136,15 @@ impl SealDelta {
 /// The incremental ingestion engine.
 #[derive(Debug)]
 pub struct StreamEngine {
-    dataset: Dataset,
-    ledger: Ledger,
+    dataset: Arc<Dataset>,
+    ledger: Arc<Ledger>,
+    /// The dataset and ledger as they stood one seal earlier, kept once
+    /// the current ones were shared, so the next seal can catch them up
+    /// instead of copying.
+    spare_dataset: Option<Arc<Dataset>>,
+    spare_ledger: Option<Arc<Ledger>>,
+    /// Seals that had to copy the whole sealed prefix.
+    prefix_copies: u64,
     pend_users: Vec<User>,
     pend_threads: Vec<Thread>,
     pend_contracts: Vec<Contract>,
@@ -145,17 +163,11 @@ impl Default for StreamEngine {
 impl StreamEngine {
     /// An engine with an empty sealed prefix.
     pub fn new() -> Self {
-        Self {
-            dataset: Dataset::new(Vec::new(), Vec::new(), Vec::new(), Vec::new()),
-            ledger: Ledger::new(),
-            pend_users: Vec::new(),
-            pend_threads: Vec::new(),
-            pend_contracts: Vec::new(),
-            pend_posts: Vec::new(),
-            pend_txs: Vec::new(),
-            aggregates: StreamAggregates::new(),
-            seals: Vec::new(),
-        }
+        Self::from_sealed(
+            Dataset::new(Vec::new(), Vec::new(), Vec::new(), Vec::new()),
+            Ledger::new(),
+            Vec::new(),
+        )
     }
 
     /// Rebuilds an engine around a recovered sealed prefix: the dataset
@@ -171,8 +183,11 @@ impl StreamEngine {
             aggregates.apply_contract(contract);
         }
         Self {
-            dataset,
-            ledger,
+            dataset: Arc::new(dataset),
+            ledger: Arc::new(ledger),
+            spare_dataset: None,
+            spare_ledger: None,
+            prefix_copies: 0,
             pend_users: Vec::new(),
             pend_threads: Vec::new(),
             pend_contracts: Vec::new(),
@@ -264,6 +279,21 @@ impl StreamEngine {
         &self.ledger
     }
 
+    /// Handles on the sealed prefix, for a snapshot or checkpoint that
+    /// must outlive the next seal: O(1), nothing is copied. While a handle
+    /// lives, the next seal appends to the spare buffer instead (see the
+    /// module docs).
+    pub fn shared(&self) -> (Arc<Dataset>, Arc<Ledger>) {
+        (Arc::clone(&self.dataset), Arc::clone(&self.ledger))
+    }
+
+    /// Seals that copied the whole sealed prefix: the first seal after it
+    /// was first shared, and any seal whose spare buffer a reader still
+    /// held. Every other seal costs O(delta).
+    pub fn prefix_copies(&self) -> u64 {
+        self.prefix_copies
+    }
+
     /// The incremental aggregates over the sealed prefix.
     pub fn aggregates(&self) -> &StreamAggregates {
         &self.aggregates
@@ -324,14 +354,18 @@ impl StreamEngine {
         for c in &self.pend_contracts {
             self.aggregates.apply_contract(c);
         }
-        self.dataset.append(
+        let copied = unshare(&mut self.dataset, &mut self.spare_dataset, Dataset::catch_up)
+            | unshare(&mut self.ledger, &mut self.spare_ledger, Ledger::catch_up);
+        self.prefix_copies += u64::from(copied);
+        Arc::get_mut(&mut self.dataset).expect("unshared above").append(
             std::mem::take(&mut self.pend_users),
             std::mem::take(&mut self.pend_contracts),
             std::mem::take(&mut self.pend_threads),
             std::mem::take(&mut self.pend_posts),
         );
+        let ledger = Arc::get_mut(&mut self.ledger).expect("unshared above");
         for (_, tx) in self.pend_txs.drain(..) {
-            self.ledger.insert(tx);
+            ledger.insert(tx);
         }
 
         let era = Era::of_month(month);
@@ -368,6 +402,31 @@ impl StreamEngine {
         self.seals.push(delta.clone());
         Ok(delta)
     }
+}
+
+/// Makes `current` owned alone so a seal can append to it in place, and
+/// returns whether that took a full copy.
+///
+/// While a handle from [`StreamEngine::shared`] holds `current`, the spare
+/// takes its place: caught up from `current` if nothing else holds the
+/// spare either, otherwise replaced by a full copy of `current`. The
+/// displaced `current` becomes the next spare.
+fn unshare<T: Clone>(
+    current: &mut Arc<T>,
+    spare: &mut Option<Arc<T>>,
+    catch_up: fn(&mut T, &T),
+) -> bool {
+    if Arc::get_mut(current).is_some() {
+        return false;
+    }
+    let reused = spare.take().and_then(|mut old| {
+        catch_up(Arc::get_mut(&mut old)?, current);
+        Some(old)
+    });
+    let copied = reused.is_none();
+    let fresh = reused.unwrap_or_else(|| Arc::new(T::clone(current)));
+    *spare = Some(std::mem::replace(current, fresh));
+    copied
 }
 
 fn check_dense(

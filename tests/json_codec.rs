@@ -263,6 +263,29 @@ fn an_unknown_event_kind_is_named_at_its_key() {
     );
 }
 
+/// A unit struct, and a tuple struct whose only field is skipped: both
+/// travel as `null`.
+#[derive(Serialize, Deserialize, Debug)]
+struct Marker;
+
+#[derive(Serialize, Deserialize, Debug)]
+struct Skipped(#[serde(skip)] ());
+
+#[test]
+fn a_value_of_the_wrong_kind_is_reported_where_it_starts() {
+    assert_eq!(
+        decode_ndjson(r#"{"ContractCreated":{"contract":{"id":0,"status":5}}}"#).unwrap_err(),
+        "line 1: expected a ContractStatus variant at byte 48"
+    );
+    assert_eq!(
+        err::<dial_model::ContractStatus>(" [1]"),
+        "expected a ContractStatus variant at byte 1"
+    );
+    assert_eq!(err::<Marker>("  0"), "expected null at byte 2");
+    assert_eq!(err::<Skipped>(" {}"), "expected null at byte 1");
+    assert_eq!(err::<Value>(r#"[1, nul]"#), "expected null at byte 4");
+}
+
 #[test]
 fn a_missing_field_is_reported_at_the_object_that_lacks_it() {
     assert_eq!(
