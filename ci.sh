@@ -23,6 +23,11 @@ done
 echo "==> cargo clippy (workspace, all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo clippy (vendored crates: outside the workspace, so linted one by one)"
+for manifest in vendor/*/Cargo.toml; do
+    cargo clippy --offline --manifest-path "$manifest" --all-targets --target-dir target/vendor -- -D warnings
+done
+
 echo "==> cargo build --release"
 cargo build --release
 

@@ -4,7 +4,7 @@
 //! rules (R5–R8) need to know what the *workspace* looks like — which
 //! struct fields are locks, where each guard is taken and how long it
 //! lives, which function calls resolve to which workspace definitions,
-//! where metrics counters are declared/incremented/rendered, and where
+//! where metrics counters are declared and incremented, and where
 //! non-200 responses are built. [`WorkspaceIndex::build`] walks every
 //! lexed file once and collects exactly that; the graph rules in
 //! `rules.rs` then run over the index instead of over files.
@@ -126,8 +126,8 @@ pub struct BlockingSite {
     pub line: u32,
 }
 
-/// One metrics counter declaration: an `AtomicU64` field of a struct
-/// named `Metrics`.
+/// One metrics counter declaration: a `Counter` field of a struct named
+/// `Metrics`.
 #[derive(Debug)]
 pub struct CounterDecl {
     /// The counter name.
@@ -136,22 +136,6 @@ pub struct CounterDecl {
     pub file: usize,
     /// 1-based line of the field.
     pub line: u32,
-}
-
-/// One field of a struct named `MetricsSnapshot` — the `/v1/metrics`
-/// render surface.
-#[derive(Debug)]
-pub struct SnapshotField {
-    /// The field name.
-    pub name: String,
-    /// Index into the file list.
-    pub file: usize,
-    /// 1-based line of the field.
-    pub line: u32,
-    /// True when the field is `u64`-typed (a scalar counter mirror; map
-    /// fields like `latency_ms` are rendered from the Mutex maps and are
-    /// not counters).
-    pub is_u64: bool,
 }
 
 /// One row of the DESIGN metrics table (first backticked cell).
@@ -207,16 +191,14 @@ pub struct WorkspaceIndex {
     pub calls: Vec<CallSite>,
     /// Every blocking-call site, in (file, token) order.
     pub blocking: Vec<BlockingSite>,
-    /// Metrics counter declarations (`AtomicU64` fields of `Metrics`).
+    /// Metrics counter declarations (`Counter` fields of `Metrics`).
     pub counters: Vec<CounterDecl>,
-    /// counter name → `fetch_add` site count.
+    /// counter name → `.inc(` / `.add(` site count.
     pub counter_increments: BTreeMap<String, u32>,
-    /// Fields of `MetricsSnapshot`.
-    pub snapshot_fields: Vec<SnapshotField>,
     /// Rows of the DESIGN metrics table, when DESIGN.md was provided.
     pub design_rows: Vec<DesignRow>,
     /// True when a DESIGN.md with table markers was provided — without
-    /// it the DESIGN directions of R7 are skipped (fixture mode).
+    /// one (a single-file lint) no counter is missing a DESIGN row.
     pub design_table_present: bool,
     /// Raw error-response construction sites.
     pub error_sites: Vec<ErrorSite>,
@@ -517,13 +499,9 @@ impl WorkspaceIndex {
             if file.in_test(i) {
                 continue;
             }
-            // Struct declarations named Metrics / MetricsSnapshot.
-            if toks[i].is_ident("struct")
-                && toks
-                    .get(i + 1)
-                    .is_some_and(|t| t.is_ident("Metrics") || t.is_ident("MetricsSnapshot"))
+            // The struct declaration named Metrics.
+            if toks[i].is_ident("struct") && toks.get(i + 1).is_some_and(|t| t.is_ident("Metrics"))
             {
-                let snapshot = toks[i + 1].is_ident("MetricsSnapshot");
                 let Some(open) = (i + 2..toks.len()).find(|j| toks[*j].is_punct('{')) else {
                     continue;
                 };
@@ -536,15 +514,8 @@ impl WorkspaceIndex {
                         && toks.get(j + 1).is_some_and(|t| t.is_punct(':'))
                         && !toks.get(j + 2).is_some_and(|t| t.is_punct(':'))
                     {
-                        let (is_u64, is_atomic, next) = field_type_info(toks, j + 2, close);
-                        if snapshot {
-                            self.snapshot_fields.push(SnapshotField {
-                                name: toks[j].text.to_string(),
-                                file: fi,
-                                line: toks[j].line,
-                                is_u64,
-                            });
-                        } else if is_atomic {
+                        let (is_counter, next) = field_type_info(toks, j + 2, close);
+                        if is_counter {
                             self.counters.push(CounterDecl {
                                 name: toks[j].text.to_string(),
                                 file: fi,
@@ -557,8 +528,8 @@ impl WorkspaceIndex {
                     j += 1;
                 }
             }
-            // Increment sites: `.<name>.fetch_add(`.
-            if toks[i].is_ident("fetch_add")
+            // Increment sites: `.<name>.inc(` and `.<name>.add(`.
+            if toks[i].is_ident_in(&["inc", "add"])
                 && i > 0
                 && toks[i - 1].is_punct('.')
                 && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
@@ -666,39 +637,24 @@ fn annotation_mentions_lock(toks: &[Token<'_>], from: usize) -> bool {
     false
 }
 
-/// Field-type scan for Metrics/MetricsSnapshot structs: from the `:` at
-/// `from` to the field-ending `,` (or the struct close), reporting
-/// whether the type is exactly `u64` and whether it mentions `AtomicU64`.
-/// Returns `(is_u64, is_atomic, index past the field)`.
-fn field_type_info(toks: &[Token<'_>], from: usize, close: usize) -> (bool, bool, usize) {
+/// Field-type scan for the Metrics struct: from the `:` at `from` to the
+/// field-ending `,` (or the struct close), reporting whether the type
+/// mentions `Counter`. Returns `(is_counter, index past the field)`.
+fn field_type_info(toks: &[Token<'_>], from: usize, close: usize) -> (bool, usize) {
     let mut depth = 0i32;
-    let mut is_u64 = false;
-    let mut is_atomic = false;
-    let mut first = true;
+    let mut is_counter = false;
     let mut j = from;
     while j < close {
         let t = &toks[j];
         match t.text {
             "<" | "(" | "[" if t.kind == TokenKind::Punct => depth += 1,
             ">" | ")" | "]" if t.kind == TokenKind::Punct => depth -= 1,
-            "," if depth == 0 => return (is_u64, is_atomic, j + 1),
-            _ => {
-                if t.kind == TokenKind::Ident {
-                    if first && t.is_ident("u64") {
-                        is_u64 = true;
-                    }
-                    if t.is_ident("AtomicU64") {
-                        is_atomic = true;
-                    }
-                    if !t.is_comment() {
-                        first = false;
-                    }
-                }
-            }
+            "," if depth == 0 => return (is_counter, j + 1),
+            _ => is_counter |= t.is_ident("Counter"),
         }
         j += 1;
     }
-    (is_u64, is_atomic, close)
+    (is_counter, close)
 }
 
 /// True when the call chain continues past the guard method at `site`

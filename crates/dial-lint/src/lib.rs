@@ -13,8 +13,8 @@
 //! The analysis is two-phase. Phase one lexes every workspace file and
 //! builds a cross-file symbol index ([`index::WorkspaceIndex`]): fn
 //! definitions, lock declarations and guard acquisitions with live
-//! ranges, name-resolvable call edges, metrics-counter declarations /
-//! increments / render mirrors, and error-response construction sites.
+//! ranges, name-resolvable call edges, metrics-counter declarations and
+//! increments, and error-response construction sites.
 //! Phase two runs the per-file rules (R1–R4) over each file and the
 //! graph rules (R5–R8) over the index.
 //!
@@ -28,7 +28,7 @@
 //! | R4 | `missing-checkpoint`         | warning | deadline cooperation in long loops |
 //! | R5 | `lock-order-inversion`       | critical | cycles in the lock-acquisition graph |
 //! | R6 | `guard-across-blocking`      | error | guards held across fsync/socket I/O |
-//! | R7 | `counter-drift`              | warning | metrics counters vs render vs DESIGN |
+//! | R7 | `counter-drift`              | warning | metrics counters vs increments vs DESIGN |
 //! | R8 | `raw-error-response`         | error | non-200s outside the error envelope |
 //! | A0 | `bare-allow`                 | error | suppressions without a reason |
 //!

@@ -1117,11 +1117,10 @@ impl GraphRule for GuardAcrossBlocking {
 // R7: counter-drift
 // --------------------------------------------------------------------
 
-/// Flags drift between the four places a metrics counter must agree:
-/// its `AtomicU64` declaration in `Metrics`, at least one `fetch_add`
-/// site, a `u64` mirror field in `MetricsSnapshot` (the `/v1/metrics`
-/// render), and a row in the DESIGN metrics table. Each direction of
-/// drift is a distinct finding.
+/// Flags drift between the three places a metrics counter must agree:
+/// its `Counter` field in `Metrics` (which is also its `/v1/metrics`
+/// key), at least one `.inc(` / `.add(` site, and a row in the DESIGN
+/// metrics table. Each direction of drift is a distinct finding.
 pub struct CounterDrift;
 
 impl GraphRule for CounterDrift {
@@ -1130,7 +1129,7 @@ impl GraphRule for CounterDrift {
     }
 
     fn describe(&self) -> &'static str {
-        "metrics counter missing an increment, a /v1/metrics mirror, or a DESIGN row"
+        "metrics counter missing an increment or a DESIGN row"
     }
 
     fn check(
@@ -1167,23 +1166,8 @@ impl GraphRule for CounterDrift {
                     decl.line,
                     1,
                     format!(
-                        "counter `{name}` is declared but never incremented (no fetch_add \
+                        "counter `{name}` is declared but never incremented (no .inc/.add \
                          site); wire it up or delete it"
-                    ),
-                ));
-            }
-            if !index.snapshot_fields.is_empty()
-                && !index.snapshot_fields.iter().any(|s| s.name == **name)
-            {
-                out.push(graph_finding(
-                    self.id(),
-                    files,
-                    decl.file,
-                    decl.line,
-                    1,
-                    format!(
-                        "counter `{name}` has no MetricsSnapshot mirror; it will never \
-                         appear in /v1/metrics"
                     ),
                 ));
             }
@@ -1201,45 +1185,25 @@ impl GraphRule for CounterDrift {
                 ));
             }
         }
-        // Reverse directions: snapshot mirrors and DESIGN rows that no
-        // counter backs. Map-typed snapshot fields (latency histograms,
-        // per-endpoint tallies) are rendered from the Mutex maps, not
-        // from counters, and are exempt.
-        if !index.counters.is_empty() {
-            for s in &index.snapshot_fields {
-                if s.is_u64 && !by_name.contains_key(s.name.as_str()) {
-                    out.push(graph_finding(
-                        self.id(),
-                        files,
-                        s.file,
-                        s.line,
-                        1,
-                        format!(
-                            "MetricsSnapshot field `{}` mirrors no declared counter; \
-                             stale rename?",
-                            s.name
-                        ),
-                    ));
-                }
-            }
-            for row in &index.design_rows {
-                if !by_name.contains_key(row.name.as_str()) {
-                    out.push(Finding {
-                        rule: self.id(),
-                        severity: severity_for(self.id()),
-                        path: "DESIGN.md".to_string(),
-                        line: row.line,
-                        col: 1,
-                        message: format!(
-                            "DESIGN metrics table documents `{}`, which is not a declared \
-                             counter; remove or rename the row",
-                            row.name
-                        ),
-                        snippet: format!("| `{}` | …", row.name),
-                        suppressed: false,
-                        reason: None,
-                    });
-                }
+        // Reverse direction: DESIGN rows that no counter backs. An index
+        // that found no counters at all reports every row.
+        for row in &index.design_rows {
+            if !by_name.contains_key(row.name.as_str()) {
+                out.push(Finding {
+                    rule: self.id(),
+                    severity: severity_for(self.id()),
+                    path: "DESIGN.md".to_string(),
+                    line: row.line,
+                    col: 1,
+                    message: format!(
+                        "DESIGN metrics table documents `{}`, which is not a declared \
+                         counter; remove or rename the row",
+                        row.name
+                    ),
+                    snippet: format!("| `{}` | …", row.name),
+                    suppressed: false,
+                    reason: None,
+                });
             }
         }
     }

@@ -135,7 +135,7 @@ mod tests {
             follower.analyze("table1").unwrap().as_str()
         );
         assert_eq!(leader.store().fingerprint(), follower.store().fingerprint());
-        let fetched = follower.metrics().snapshot().sync_segments_fetched;
+        let fetched = follower.metrics().sync_segments_fetched.get();
         assert_eq!(fetched, months.len() as u64);
 
         // Router aimed at the *follower* as leader: the first write 421s,

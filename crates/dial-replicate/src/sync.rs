@@ -175,7 +175,7 @@ fn run_loop(engine: &Engine, poll: Duration, stop: &AtomicBool, nudge: &AtomicBo
         let mut slept = Duration::ZERO;
         while slept < poll && !stop.load(Ordering::SeqCst) {
             if nudge.swap(false, Ordering::SeqCst) && engine.role() == Role::Follower {
-                engine.metrics().sync_nudge();
+                engine.metrics().sync_nudges.inc();
                 break;
             }
             std::thread::sleep(slice);
@@ -272,7 +272,7 @@ fn sync_once(engine: &Engine, client: &SyncClient, stop: &AtomicBool) -> Result<
     // is the normal post-failover case and is adopted on the spot.
     let local_epoch = engine.epoch();
     if manifest.epoch < local_epoch {
-        engine.metrics().epoch_rejection();
+        engine.metrics().epoch_rejections.inc();
         return Err(format!(
             "leader manifest is at epoch {} but this node is fenced at epoch {local_epoch}",
             manifest.epoch
@@ -297,33 +297,35 @@ fn sync_once(engine: &Engine, client: &SyncClient, stop: &AtomicBool) -> Result<
         let bytes = client.fetch(next)?;
         match engine.apply_synced(&bytes) {
             Ok(SyncApplied::Applied(seq)) => {
-                engine.metrics().sync_fetched(bytes.len() as u64);
+                engine.metrics().sync_segments_fetched.inc();
+                engine.metrics().sync_bytes.add(bytes.len() as u64);
                 next = seq + 1;
             }
             Ok(SyncApplied::Skipped(_)) => {
                 // Already had it (e.g. a racing restart recovered it);
                 // still a successful transfer.
-                engine.metrics().sync_fetched(bytes.len() as u64);
+                engine.metrics().sync_segments_fetched.inc();
+                engine.metrics().sync_bytes.add(bytes.len() as u64);
                 next += 1;
             }
             Err(SyncApplyError::Corrupt(detail)) => {
                 // Damaged in flight or at rest on the leader — reject
                 // the whole batch, refetch on the next poll.
-                engine.metrics().fingerprint_reject();
-                engine.metrics().sync_retry();
+                engine.metrics().fingerprint_rejects.inc();
+                engine.metrics().sync_retries.inc();
                 return Err(format!("batch {next} rejected: {detail}"));
             }
             Err(SyncApplyError::Diverged(detail)) => {
                 // The leader's events replayed to a *different*
                 // fingerprint locally: not a transfer error, a split
                 // history. Refetching cannot fix it; surface loudly.
-                engine.metrics().fingerprint_reject();
+                engine.metrics().fingerprint_rejects.inc();
                 return Err(format!("batch {next} diverged: {detail}"));
             }
             Err(SyncApplyError::Gap { expected, .. }) => {
                 // Local tip moved under us (startup recovery finishing
                 // late); realign and continue.
-                engine.metrics().sync_retry();
+                engine.metrics().sync_retries.inc();
                 next = expected;
             }
             Err(SyncApplyError::NotLive) => {

@@ -422,7 +422,8 @@ impl Engine {
         let snapshot = sealed_snapshot(&stream, seed, lca_classes);
         let mut engine = Self::new(snapshot, experiments, threads, queue_capacity);
         if let Some(report) = &recovery {
-            engine.metrics.store_recovered(report.replayed_seals, report.replayed_events);
+            engine.metrics.store_recovered_seals.add(report.replayed_seals);
+            engine.metrics.store_recovered_events.add(report.replayed_events);
         }
         // A durable node resumes at the epoch its manifest recorded, so a
         // restarted old leader comes back *fenced at its old epoch* and
@@ -516,10 +517,10 @@ impl Engine {
             params: self.params.clone(),
         };
         if let Some(body) = self.cache.get(&key) {
-            self.metrics.cache_hit();
+            self.metrics.cache_hits.inc();
             return Ok(body);
         }
-        self.metrics.cache_miss();
+        self.metrics.cache_misses.inc();
 
         let run = Arc::clone(&handle.run);
         let ids: Vec<String> = ids.to_vec();
@@ -541,7 +542,7 @@ impl Engine {
                             Err(RunError::DeadlineExceeded)
                         }
                         Err(_) => {
-                            metrics.panic_recovered();
+                            metrics.panics_recovered.inc();
                             Err(RunError::Panicked)
                         }
                     }
@@ -556,7 +557,7 @@ impl Engine {
             Some(d) => match rx.recv_timeout(d.saturating_duration_since(Instant::now())) {
                 Ok(result) => result,
                 Err(RecvTimeoutError::Timeout) => {
-                    self.metrics.deadline_exceeded();
+                    self.metrics.deadlines_exceeded.inc();
                     return Err(ScenarioServeError::DeadlineExceeded);
                 }
                 Err(RecvTimeoutError::Disconnected) => {
@@ -566,7 +567,7 @@ impl Engine {
         };
         match result {
             Ok(Ok(body)) => {
-                self.metrics.scenario_run();
+                self.metrics.scenario_runs.inc();
                 self.metrics.observe_latency("scenario", started.elapsed().as_secs_f64() * 1e3);
                 Ok(self.cache.insert(key, body))
             }
@@ -575,7 +576,7 @@ impl Engine {
             }
             Ok(Err(ScenarioRunError::Failed(detail))) => Err(ScenarioServeError::Failed(detail)),
             Err(RunError::DeadlineExceeded) => {
-                self.metrics.deadline_exceeded();
+                self.metrics.deadlines_exceeded.inc();
                 Err(ScenarioServeError::DeadlineExceeded)
             }
             Err(RunError::Panicked) => {
@@ -654,10 +655,10 @@ impl Engine {
             params: self.params.clone(),
         };
         if let Some(body) = self.cache.get(&key) {
-            self.metrics.cache_hit();
+            self.metrics.cache_hits.inc();
             return Ok(Pending::Cached(body));
         }
-        self.metrics.cache_miss();
+        self.metrics.cache_misses.inc();
 
         // Run on the shared pool; the caller blocks on the result in
         // `finish`. Two concurrent misses for the same key both compute —
@@ -685,7 +686,7 @@ impl Engine {
                             Err(RunError::DeadlineExceeded)
                         }
                         Err(_) => {
-                            metrics.panic_recovered();
+                            metrics.panics_recovered.inc();
                             Err(RunError::Panicked)
                         }
                     }
@@ -719,7 +720,7 @@ impl Engine {
                 Err(RecvTimeoutError::Timeout) => {
                     // Non-cooperative run: answer 504 now; the job keeps
                     // its slot until it finishes, then goes uncollected.
-                    self.metrics.deadline_exceeded();
+                    self.metrics.deadlines_exceeded.inc();
                     return Err(AnalyzeError::DeadlineExceeded);
                 }
                 Err(RecvTimeoutError::Disconnected) => return Err(AnalyzeError::Failed),
@@ -748,7 +749,7 @@ impl Engine {
                         .cache_insert_checked(scope, forged, "{\"tampered\":true}".into())
                         .is_err()
                     {
-                        self.metrics.poison_rejection();
+                        self.metrics.poison_rejected.inc();
                     }
                 }
                 // A refused legitimate insert means the snapshot advanced
@@ -761,7 +762,7 @@ impl Engine {
                 })
             }
             Err(RunError::DeadlineExceeded) => {
-                self.metrics.deadline_exceeded();
+                self.metrics.deadlines_exceeded.inc();
                 Err(AnalyzeError::DeadlineExceeded)
             }
             Err(RunError::Panicked) => Err(AnalyzeError::Failed),
@@ -799,7 +800,7 @@ impl Engine {
         let events = match dial_stream::decode_ndjson(body) {
             Ok(events) => events,
             Err(e) => {
-                self.metrics.ingest_rejected();
+                self.metrics.ingest_rejected.inc();
                 return Err(IngestError::Parse(e));
             }
         };
@@ -807,10 +808,10 @@ impl Engine {
         let mut guard = live.stream.lock().expect("stream lock");
         let ls = &mut *guard;
         if ls.engine.pending_len() + events.len() > live.max_pending_events {
-            self.metrics.ingest_rejected();
+            self.metrics.ingest_rejected.inc();
             return Err(IngestError::Backpressure { pending: ls.engine.pending_len() });
         }
-        self.metrics.ingest_batch();
+        self.metrics.ingest_batches.inc();
         let mut seals = 0usize;
         let mut applied = 0usize;
         for event in events {
@@ -826,9 +827,9 @@ impl Engine {
                 match catch_unwind(AssertUnwindSafe(|| ls.engine.apply(event))) {
                     Ok(outcome) => outcome,
                     Err(_) => {
-                        self.metrics.panic_recovered();
-                        self.metrics.seal_failure();
-                        self.metrics.ingest_events(applied as u64);
+                        self.metrics.panics_recovered.inc();
+                        self.metrics.seal_failures.inc();
+                        self.metrics.ingest_events.add(applied as u64);
                         return Err(IngestError::SealFailed);
                     }
                 }
@@ -843,7 +844,7 @@ impl Engine {
                 }
                 Ok(Some(delta)) => {
                     seals += 1;
-                    self.metrics.seal();
+                    self.metrics.seals_total.inc();
                     if let Some(ev) = mirror {
                         // The watermark rides at the end of its own batch
                         // so a recovery replay re-seals on it.
@@ -854,14 +855,14 @@ impl Engine {
                     self.publish(live, &delta);
                 }
                 Err(gap) => {
-                    self.metrics.ingest_rejected();
-                    self.metrics.ingest_events(applied as u64);
+                    self.metrics.ingest_rejected.inc();
+                    self.metrics.ingest_events.add(applied as u64);
                     return Err(IngestError::Gap(gap.to_string()));
                 }
             }
             applied += 1;
         }
-        self.metrics.ingest_events(applied as u64);
+        self.metrics.ingest_events.add(applied as u64);
         Ok(IngestReport {
             events: applied,
             seals,
@@ -889,9 +890,9 @@ impl Engine {
         let Some(store) = ls.store.as_mut() else { return };
         let batch = std::mem::take(&mut ls.unsealed);
         match store.append_seal(&batch, delta) {
-            Ok(()) => self.metrics.store_append(),
+            Ok(()) => self.metrics.store_appends.inc(),
             Err(e) => {
-                self.metrics.store_append_failure();
+                self.metrics.store_append_failures.inc();
                 eprintln!(
                     "store append failed at seal {}: {e}; serving from memory, durability degraded",
                     delta.seq
@@ -904,14 +905,14 @@ impl Engine {
             // anything, so a panicked checkpoint is a clean no-op and the
             // next interval simply retries.
             match catch_unwind(AssertUnwindSafe(|| store.write_checkpoint(&ckpt))) {
-                Ok(Ok(())) => self.metrics.store_checkpoint(),
+                Ok(Ok(())) => self.metrics.store_checkpoints.inc(),
                 Ok(Err(e)) => {
-                    self.metrics.store_checkpoint_failure();
+                    self.metrics.store_checkpoint_failures.inc();
                     eprintln!("store checkpoint failed at seal {}: {e}", delta.seq);
                 }
                 Err(_) => {
-                    self.metrics.panic_recovered();
-                    self.metrics.store_checkpoint_failure();
+                    self.metrics.panics_recovered.inc();
+                    self.metrics.store_checkpoint_failures.inc();
                     eprintln!(
                         "store checkpoint panicked at seal {}; retrying next interval",
                         delta.seq
@@ -1004,7 +1005,7 @@ impl Engine {
         // lint:allow(unwrap-in-serve): lock poisoning means a sibling already panicked; propagating is the designed failure mode
         let mut state = self.replication.state.write().expect("replication lock");
         if new_epoch <= state.epoch {
-            self.metrics.epoch_rejection();
+            self.metrics.epoch_rejections.inc();
             return Err(PromoteError::StaleEpoch { current: state.epoch });
         }
         self.persist_epoch(new_epoch)?;
@@ -1018,7 +1019,7 @@ impl Engine {
         state.role = Role::Leader;
         state.epoch = new_epoch;
         drop(state);
-        self.metrics.promotion();
+        self.metrics.promotions.inc();
         // Leading means no sync target: clear follower progress so
         // `/v1/cluster` stops implying this node trails anyone.
         self.with_sync_status(|s| *s = SyncStatus::default());
@@ -1037,7 +1038,7 @@ impl Engine {
         // lint:allow(unwrap-in-serve): lock poisoning means a sibling already panicked; propagating is the designed failure mode
         let mut state = self.replication.state.write().expect("replication lock");
         if epoch < state.epoch {
-            self.metrics.epoch_rejection();
+            self.metrics.epoch_rejections.inc();
             return Err(PromoteError::StaleEpoch { current: state.epoch });
         }
         self.persist_epoch(epoch)?;
@@ -1053,7 +1054,7 @@ impl Engine {
         state.epoch = epoch;
         drop(state);
         if was_leader {
-            self.metrics.demotion();
+            self.metrics.demotions.inc();
         }
         // Seed follower progress from the local sealed tip so the sync
         // runner resumes from here instead of reporting from zero.
@@ -1186,7 +1187,7 @@ impl Engine {
         }
         let mirror = ls.store.is_some().then(|| events.clone());
         let delta = ls.engine.apply_sealed(events, &recorded).map_err(SyncApplyError::Diverged)?;
-        self.metrics.seal();
+        self.metrics.seals_total.inc();
         if let Some(evs) = mirror {
             ls.unsealed.extend(evs);
         }
@@ -1301,7 +1302,7 @@ impl Engine {
     /// in the metrics).
     pub fn shutdown_within(&self, deadline: Option<Instant>) -> Vec<u64> {
         let abandoned = self.scheduler.shutdown_within(deadline);
-        self.metrics.drain_abandoned(abandoned.len() as u64);
+        self.metrics.drain_abandoned_jobs.add(abandoned.len() as u64);
         abandoned
     }
 }
@@ -1371,10 +1372,10 @@ mod tests {
         let first = engine.analyze("table1").unwrap();
         let second = engine.analyze("table1").unwrap();
         assert_eq!(first.as_str(), second.as_str());
-        let m = engine.metrics().snapshot();
-        assert_eq!(m.cache_misses, 1);
-        assert_eq!(m.cache_hits, 1);
-        assert_eq!(m.latency_ms["table1"].count, 1);
+        let m = engine.metrics();
+        assert_eq!(m.cache_misses.get(), 1);
+        assert_eq!(m.cache_hits.get(), 1);
+        assert_eq!(m.latency_ms.lock().unwrap()["table1"].count, 1);
         // The body is a valid JSON envelope around the result.
         let v: serde_json::Value = serde_json::from_str(&first).unwrap();
         assert_eq!(v.get("id").as_str(), Some("table1"));
@@ -1421,7 +1422,7 @@ mod tests {
             other => panic!("expected Unknown, got {other:?}"),
         }
         // Nothing was submitted: no cache misses were recorded.
-        assert_eq!(engine.metrics().snapshot().cache_misses, 0);
+        assert_eq!(engine.metrics().cache_misses.get(), 0);
     }
 
     fn custom_engine(experiments: Vec<ServeExperiment>, threads: usize, queue: usize) -> Engine {
@@ -1451,7 +1452,7 @@ mod tests {
         };
         let engine = custom_engine(vec![boom, constant_experiment("ok")], 1, 4);
         assert_eq!(engine.analyze("boom"), Err(AnalyzeError::Failed));
-        assert_eq!(engine.metrics().snapshot().panics_recovered, 1);
+        assert_eq!(engine.metrics().panics_recovered.get(), 1);
         // The worker survives the panic and keeps serving.
         assert!(engine.analyze("ok").is_ok());
     }
@@ -1485,7 +1486,7 @@ mod tests {
             "504 must land within deadline + 100ms, took {:?}",
             begun.elapsed()
         );
-        assert_eq!(engine.metrics().snapshot().deadlines_exceeded, 1);
+        assert_eq!(engine.metrics().deadlines_exceeded.get(), 1);
         // The slot frees at the run's next checkpoint (within one 10ms
         // hop); retry briefly rather than racing it.
         let retry = dial_fault::retry::RetryPolicy::quick(7);
@@ -1554,10 +1555,10 @@ mod tests {
 
         // Analysis runs against the freshly sealed snapshot.
         assert!(engine.analyze("table1").is_ok());
-        let m = engine.metrics().snapshot();
-        assert_eq!(m.seals_total, 1);
-        assert_eq!(m.ingest_batches, 1);
-        assert_eq!(m.ingest_events as usize, segs[0].len());
+        let m = engine.metrics();
+        assert_eq!(m.seals_total.get(), 1);
+        assert_eq!(m.ingest_batches.get(), 1);
+        assert_eq!(m.ingest_events.get() as usize, segs[0].len());
     }
 
     #[test]
@@ -1572,8 +1573,8 @@ mod tests {
         }
         // Nothing was applied; a retry after raising nothing still fails
         // identically, and the stream state is untouched.
-        assert_eq!(engine.metrics().snapshot().ingest_rejected, 1);
-        assert_eq!(engine.metrics().snapshot().ingest_events, 0);
+        assert_eq!(engine.metrics().ingest_rejected.get(), 1);
+        assert_eq!(engine.metrics().ingest_events.get(), 0);
     }
 
     #[test]
@@ -1583,7 +1584,7 @@ mod tests {
             Err(IngestError::Parse(msg)) => assert!(msg.contains("line 1"), "got {msg}"),
             other => panic!("expected Parse, got {other:?}"),
         }
-        assert_eq!(engine.metrics().snapshot().ingest_rejected, 1);
+        assert_eq!(engine.metrics().ingest_rejected.get(), 1);
     }
 
     #[test]
@@ -1615,17 +1616,16 @@ mod tests {
         }
         engine.analyze("setup-view").unwrap();
         engine.analyze("covid-view").unwrap();
-        let warm = engine.metrics().snapshot();
-        assert_eq!((warm.cache_misses, warm.cache_hits), (2, 0));
+        let m = engine.metrics();
+        assert_eq!((m.cache_misses.get(), m.cache_hits.get()), (2, 0));
 
         // Month 3 touches only the SET-UP slice: the SET-UP reader's
         // entry must be invalidated, the COVID-19 reader's must survive.
         engine.ingest(&dial_stream::encode_ndjson(&segs[2])).unwrap();
         engine.analyze("setup-view").unwrap();
         engine.analyze("covid-view").unwrap();
-        let after = engine.metrics().snapshot();
-        assert_eq!(after.cache_misses, warm.cache_misses + 1, "setup entry must miss");
-        assert_eq!(after.cache_hits, warm.cache_hits + 1, "covid entry must survive");
+        assert_eq!(m.cache_misses.get(), 3, "setup entry must miss");
+        assert_eq!(m.cache_hits.get(), 1, "covid entry must survive");
     }
 
     #[test]
@@ -1699,10 +1699,6 @@ mod tests {
         assert_eq!(lv.get("role").as_str(), Some("leader"));
         let peers = lv.get("peers").as_array().expect("peers is an array");
         assert_eq!(peers.first().and_then(|p| p.as_str()), Some("f1:0"));
-
-        // Metrics for the sync loop live on the follower's engine.
-        follower.metrics().sync_fetched(bytes.len() as u64);
-        assert_eq!(follower.metrics().snapshot().sync_segments_fetched, 1);
 
         // /v1/store carries the v2 role + sync blocks, old fields intact.
         let sv: serde_json::Value = serde_json::from_str(&leader.store_status().unwrap()).unwrap();

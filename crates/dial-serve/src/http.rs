@@ -273,7 +273,7 @@ fn handle_connection(
         match wire::read_request(&mut stream, started, window, max_head, max_body) {
             Ok(request) => request,
             Err(Refusal { response, over_limit: true }) => {
-                engine.metrics().request_rejected();
+                engine.metrics().requests_rejected.inc();
                 return respond_and_drain(&mut stream, engine, &response);
             }
             Err(Refusal { response, .. }) => return respond(&mut stream, engine, &response),
@@ -295,7 +295,7 @@ fn handle_connection(
     // During a drain, every parsed request is turned away with the
     // retry hint — in-flight requests (already past this gate) finish.
     if draining.load(Ordering::SeqCst) {
-        engine.metrics().drain_rejection();
+        engine.metrics().drain_rejected.inc();
         let r = draining_response(cfg.drain_timeout.as_secs().max(1));
         return respond(&mut stream, engine, &r);
     }
@@ -330,14 +330,11 @@ fn handle_connection(
         std::thread::sleep(d);
     }
     let response = if deadline.is_some_and(|d| Instant::now() >= d) {
-        engine.metrics().deadline_exceeded();
+        engine.metrics().deadlines_exceeded.inc();
         deadline_response()
     } else {
         route(engine, path, query, raw_path, deadline)
     };
-    if response.status >= 500 {
-        engine.metrics().server_error();
-    }
     respond(&mut stream, engine, &response)
 }
 
@@ -363,7 +360,7 @@ fn handle_ingest(
     {
         let local = engine.epoch();
         if remote < local {
-            engine.metrics().epoch_rejection();
+            engine.metrics().epoch_rejections.inc();
             let mut detail = BTreeMap::new();
             detail.insert("epoch".to_string(), Value::Number(local as f64));
             let r = Response::error(
@@ -430,11 +427,11 @@ fn handle_ingest(
     let body = match wire::read_body(stream, body, len, cfg.read_timeout) {
         Ok(body) if body.len() == len => body,
         Ok(short) => {
-            engine.metrics().request_rejected();
+            engine.metrics().requests_rejected.inc();
             return respond(stream, engine, &wire::truncated_body(short.len(), len));
         }
         Err(late) => {
-            engine.metrics().request_rejected();
+            engine.metrics().requests_rejected.inc();
             return respond(stream, engine, &late);
         }
     };
@@ -471,9 +468,6 @@ fn handle_ingest(
             None,
         ),
     };
-    if response.status >= 500 {
-        engine.metrics().server_error();
-    }
     respond(stream, engine, &response)
 }
 
@@ -513,7 +507,7 @@ fn handle_promote(
     let body = match wire::read_body(stream, body, len, cfg.read_timeout) {
         Ok(body) => body,
         Err(late) => {
-            engine.metrics().request_rejected();
+            engine.metrics().requests_rejected.inc();
             return respond(stream, engine, &late);
         }
     };
@@ -591,9 +585,6 @@ fn handle_promote(
             }
         }
     };
-    if response.status >= 500 {
-        engine.metrics().server_error();
-    }
     respond(stream, engine, &response)
 }
 
@@ -636,7 +627,7 @@ fn handle_stream(
         let r = not_live_response();
         return respond(stream, engine, &r);
     };
-    engine.metrics().sse_client();
+    engine.metrics().sse_clients.inc();
     let max_frames: Option<usize> = query
         .and_then(|q| q.split('&').find_map(|p| p.strip_prefix("max=")))
         .and_then(|v| v.parse().ok());
@@ -650,7 +641,7 @@ fn handle_stream(
             break;
         }
         write_chunk(stream, frame.as_bytes())?;
-        engine.metrics().sse_frame();
+        engine.metrics().sse_frames.inc();
         sent += 1;
     }
     let mut last_write = Instant::now();
@@ -658,7 +649,7 @@ fn handle_stream(
         match rx.recv_timeout(Duration::from_millis(200)) {
             Ok(frame) => {
                 write_chunk(stream, frame.as_bytes())?;
-                engine.metrics().sse_frame();
+                engine.metrics().sse_frames.inc();
                 sent += 1;
                 last_write = Instant::now();
             }
@@ -797,7 +788,7 @@ fn route(
         }
         "/v1/metrics" => {
             engine.metrics().request("/v1/metrics");
-            Response::json(200, to_json(&engine.metrics().snapshot()))
+            Response::json(200, to_json(engine.metrics()))
         }
         "/v1/store" => {
             engine.metrics().request("/v1/store");
@@ -949,7 +940,7 @@ fn route_scenario(engine: &Engine, query: Option<&str>, deadline: Option<Instant
             )
         }
         Err(ScenarioServeError::Saturated) => {
-            engine.metrics().shed();
+            engine.metrics().shed_total.inc();
             Response::error(503, "saturated", "server saturated, retry later".to_string(), None)
         }
         Err(ScenarioServeError::DeadlineExceeded) => deadline_response(),
@@ -989,7 +980,7 @@ fn analyze_error_response(engine: &Engine, err: &AnalyzeError, id: &str) -> Resp
             )
         }
         AnalyzeError::Saturated => {
-            engine.metrics().shed();
+            engine.metrics().shed_total.inc();
             Response::error(503, "saturated", "server saturated, retry later".to_string(), None)
         }
         // The engine already counted deadlines_exceeded when it gave up.
@@ -1016,8 +1007,13 @@ fn respond_and_drain(
     result
 }
 
-/// [`wire::write_response`] behind the `trunc_write` fault hook.
+/// [`wire::write_response`] behind the `trunc_write` fault hook. Every
+/// reply but the SSE stream goes out through here, so this is the one
+/// place that counts 5xx responses.
 fn respond(stream: &mut TcpStream, engine: &Engine, response: &Response) -> std::io::Result<()> {
+    if response.status >= 500 {
+        engine.metrics().responses_5xx.inc();
+    }
     // Chaos hook: a truncated write simulates the peer (or a middlebox)
     // cutting the stream mid-response; the client sees a short read and
     // the server must shrug and move on.
@@ -1053,5 +1049,20 @@ mod tests {
 
         counted(&active, || {})();
         assert_eq!(active.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn a_drain_rejection_counts_as_a_5xx() {
+        let engine = Engine::new_live(7, 3, Vec::new(), 1, 1, 64);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        client.write_all(b"GET /v1/healthz HTTP/1.1\r\n\r\n").unwrap();
+        let (conn, _) = listener.accept().unwrap();
+        handle_connection(conn, &engine, &ServeConfig::default(), &AtomicBool::new(true)).unwrap();
+        let mut reply = String::new();
+        std::io::Read::read_to_string(&mut client, &mut reply).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 503"), "{reply}");
+        assert_eq!(engine.metrics().drain_rejected.get(), 1);
+        assert_eq!(engine.metrics().responses_5xx.get(), 1);
     }
 }

@@ -1,8 +1,9 @@
 //! Server metrics: request counters, cache hit/miss counters, and
 //! per-experiment latency histograms, all cheap enough to update on every
-//! request and rendered as JSON by `/metrics`.
+//! request. [`Metrics`] serialises itself as the `/v1/metrics` body: one
+//! key per field, in declaration order.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -12,7 +13,7 @@ use std::sync::Mutex;
 pub const LATENCY_BOUNDS_MS: [u64; 7] = [1, 5, 25, 100, 500, 2500, 10_000];
 
 /// A fixed-bucket latency histogram.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Default, Serialize)]
 pub struct Histogram {
     /// Observation counts per bucket; `buckets[i]` counts observations
     /// `<= LATENCY_BOUNDS_MS[i]`, and the last slot is the overflow.
@@ -35,139 +36,128 @@ impl Histogram {
     }
 }
 
-/// Live counters, shared across connection and worker threads.
+/// A monotonic counter, bumped with relaxed atomics (no counter orders
+/// any other memory access). It serialises as its current value.
 #[derive(Default)]
-pub struct Metrics {
-    requests_total: AtomicU64,
-    responses_5xx: AtomicU64,
-    shed_total: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    faults_injected: AtomicU64,
-    panics_recovered: AtomicU64,
-    deadlines_exceeded: AtomicU64,
-    poison_rejected: AtomicU64,
-    requests_rejected: AtomicU64,
-    drain_rejected: AtomicU64,
-    drain_abandoned_jobs: AtomicU64,
-    ingest_batches: AtomicU64,
-    ingest_events: AtomicU64,
-    ingest_rejected: AtomicU64,
-    seals_total: AtomicU64,
-    seal_failures: AtomicU64,
-    sse_clients: AtomicU64,
-    sse_frames: AtomicU64,
-    store_appends: AtomicU64,
-    store_append_failures: AtomicU64,
-    store_checkpoints: AtomicU64,
-    store_checkpoint_failures: AtomicU64,
-    store_recovered_seals: AtomicU64,
-    store_recovered_events: AtomicU64,
-    sync_segments_fetched: AtomicU64,
-    sync_bytes: AtomicU64,
-    sync_retries: AtomicU64,
-    fingerprint_rejects: AtomicU64,
-    promotions: AtomicU64,
-    demotions: AtomicU64,
-    epoch_rejections: AtomicU64,
-    sync_nudges: AtomicU64,
-    scenario_runs: AtomicU64,
-    by_endpoint: Mutex<BTreeMap<String, u64>>,
-    faults_by_point: Mutex<BTreeMap<String, u64>>,
-    latency: Mutex<BTreeMap<String, Histogram>>,
+pub struct Counter(AtomicU64);
+
+impl Counter {
+    /// Adds one.
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    /// Adds `n`.
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// The current value.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
 }
 
-/// Point-in-time copy of every counter, serialized by `/metrics`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MetricsSnapshot {
+impl Serialize for Counter {
+    fn serialize_json(&self, out: &mut String) {
+        self.get().serialize_json(out);
+    }
+}
+
+/// Live counters, shared across connection and worker threads. Call
+/// sites bump a counter by name (`metrics.cache_hits.inc()`); the three
+/// methods below also tally a per-key map.
+#[derive(Default, Serialize)]
+pub struct Metrics {
     /// Requests accepted (any endpoint, any outcome).
-    pub requests_total: u64,
-    /// Responses with a 5xx status (including shed requests).
-    pub responses_5xx: u64,
+    pub requests_total: Counter,
+    /// Responses with a 5xx status (shed and drain rejections included),
+    /// counted once where the HTTP layer writes the reply.
+    pub responses_5xx: Counter,
     /// Requests shed with 503 because the scheduler queue was full.
-    pub shed_total: u64,
+    pub shed_total: Counter,
     /// Analyze requests answered from the result cache.
-    pub cache_hits: u64,
+    pub cache_hits: Counter,
     /// Analyze requests that had to run the experiment.
-    pub cache_misses: u64,
+    pub cache_misses: Counter,
     /// Chaos faults applied at dial-serve injection points (dial-par
     /// fires live in `dial_fault::events`, not here).
-    pub faults_injected: u64,
+    pub faults_injected: Counter,
     /// Experiment panics caught by the engine; the worker survived and
     /// the request was answered with the error envelope.
-    pub panics_recovered: u64,
+    pub panics_recovered: Counter,
     /// Requests whose deadline budget expired (answered 504).
-    pub deadlines_exceeded: u64,
+    pub deadlines_exceeded: Counter,
     /// Tampered cache inserts rejected by the fingerprint check.
-    pub poison_rejected: u64,
+    pub poison_rejected: Counter,
     /// Requests rejected at the front door: oversized bodies (413),
     /// oversized headers (431), and header timeouts (408).
-    pub requests_rejected: u64,
+    pub requests_rejected: Counter,
     /// Connections answered 503 + `Retry-After` because a graceful drain
     /// was in progress.
-    pub drain_rejected: u64,
+    pub drain_rejected: Counter,
     /// Scheduler jobs a drain deadline forced us to abandon.
-    pub drain_abandoned_jobs: u64,
+    pub drain_abandoned_jobs: Counter,
     /// Ingest batches accepted past admission (parse + backpressure).
-    pub ingest_batches: u64,
+    pub ingest_batches: Counter,
     /// Events applied to the live stream (entity events and watermarks).
-    pub ingest_events: u64,
+    pub ingest_events: Counter,
     /// Ingest batches refused: parse errors, gaps, backpressure.
-    pub ingest_rejected: u64,
+    pub ingest_rejected: Counter,
     /// Watermarks sealed (each swapped in a fresh snapshot store).
-    pub seals_total: u64,
+    pub seals_total: Counter,
     /// Seals that panicked before commit (`seal_panic` chaos included).
-    pub seal_failures: u64,
+    pub seal_failures: Counter,
     /// `/v1/stream` subscriptions accepted over this server's lifetime.
-    pub sse_clients: u64,
+    pub sse_clients: Counter,
     /// SSE frames written to stream clients (history and live).
-    pub sse_frames: u64,
+    pub sse_frames: Counter,
     /// Sealed batches appended to the durable store.
-    pub store_appends: u64,
+    pub store_appends: Counter,
     /// Store appends that failed (the store is degraded: memory is ahead
     /// of disk until a restart).
-    pub store_append_failures: u64,
+    pub store_append_failures: Counter,
     /// Checkpoint snapshots written to the durable store.
-    pub store_checkpoints: u64,
+    pub store_checkpoints: Counter,
     /// Checkpoint writes that failed or panicked (`ckpt_panic` chaos
     /// included); the next interval retries.
-    pub store_checkpoint_failures: u64,
+    pub store_checkpoint_failures: Counter,
     /// Seals replayed from the store at startup.
-    pub store_recovered_seals: u64,
+    pub store_recovered_seals: Counter,
     /// Events replayed from the store at startup.
-    pub store_recovered_events: u64,
+    pub store_recovered_events: Counter,
     /// Sealed batches a follower fetched from its leader and applied.
-    pub sync_segments_fetched: u64,
+    pub sync_segments_fetched: Counter,
     /// Batch bytes fetched over the sync protocol.
-    pub sync_bytes: u64,
+    pub sync_bytes: Counter,
     /// Sync fetch/apply attempts that failed and were retried (network
     /// errors, stalls, and rejected batches alike).
-    pub sync_retries: u64,
+    pub sync_retries: Counter,
     /// Fetched batches rejected before apply because a frame failed CRC
     /// or the replayed fingerprint disagreed with the recorded seal.
-    pub fingerprint_rejects: u64,
+    pub fingerprint_rejects: Counter,
     /// Times this node took leadership (promoted itself to a new epoch).
-    pub promotions: u64,
+    pub promotions: Counter,
     /// Times this node stepped down: adopted another leader after seeing
     /// proof of a higher epoch.
-    pub demotions: u64,
+    pub demotions: Counter,
     /// Messages refused by epoch fencing: ingests or adopts carrying an
     /// epoch lower than the one this node has persisted.
-    pub epoch_rejections: u64,
+    pub epoch_rejections: Counter,
     /// Immediate sync polls triggered by a leader's SSE seal frame
     /// (rather than the interval timer).
-    pub sync_nudges: u64,
+    pub sync_nudges: Counter,
     /// Scenario comparisons actually computed (cache misses that ran the
     /// counterfactual engine; `/v1/scenario` cache hits count as hits).
-    pub scenario_runs: u64,
+    pub scenario_runs: Counter,
     /// Requests per normalised endpoint (`/analyze/{id}` collapses to
     /// `/analyze`).
-    pub by_endpoint: BTreeMap<String, u64>,
+    by_endpoint: Mutex<BTreeMap<String, u64>>,
     /// dial-serve fault fires per injection point name.
-    pub faults_by_point: BTreeMap<String, u64>,
+    faults_by_point: Mutex<BTreeMap<String, u64>>,
     /// Experiment wall-clock latency per experiment id (cache misses
     /// only — hits do not run anything worth timing).
-    pub latency_ms: BTreeMap<String, Histogram>,
+    pub(crate) latency_ms: Mutex<BTreeMap<String, Histogram>>,
 }
 
 impl Metrics {
@@ -178,220 +168,22 @@ impl Metrics {
 
     /// Counts one request against a normalised endpoint name.
     pub fn request(&self, endpoint: &str) {
-        self.requests_total.fetch_add(1, Ordering::Relaxed);
+        self.requests_total.inc();
         let mut map = self.by_endpoint.lock().expect("metrics lock");
         *map.entry(endpoint.to_string()).or_default() += 1;
     }
 
-    /// Counts a 5xx response.
-    pub fn server_error(&self) {
-        self.responses_5xx.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a request shed with 503. The HTTP layer counts the 5xx
-    /// itself (one place counts every 5xx, so nothing double-counts).
-    pub fn shed(&self) {
-        self.shed_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a cache hit.
-    pub fn cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a cache miss.
-    pub fn cache_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Counts one chaos fault applied at a dial-serve injection point.
     pub fn fault(&self, point: &str) {
-        self.faults_injected.fetch_add(1, Ordering::Relaxed);
+        self.faults_injected.inc();
         let mut map = self.faults_by_point.lock().expect("metrics lock");
         *map.entry(point.to_string()).or_default() += 1;
     }
 
-    /// Counts one experiment panic caught and contained by the engine.
-    pub fn panic_recovered(&self) {
-        self.panics_recovered.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one request whose deadline budget expired (a 504).
-    pub fn deadline_exceeded(&self) {
-        self.deadlines_exceeded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one tampered cache insert rejected by the fingerprint check.
-    pub fn poison_rejection(&self) {
-        self.poison_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one request rejected at the front door (408/413/431).
-    pub fn request_rejected(&self) {
-        self.requests_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one connection turned away with 503 during a drain. The
-    /// HTTP layer counts the 5xx itself.
-    pub fn drain_rejection(&self) {
-        self.drain_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records how many scheduler jobs a drain deadline abandoned.
-    pub fn drain_abandoned(&self, jobs: u64) {
-        self.drain_abandoned_jobs.fetch_add(jobs, Ordering::Relaxed);
-    }
-
-    /// Counts one ingest batch accepted past admission.
-    pub fn ingest_batch(&self) {
-        self.ingest_batches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts `events` applied to the live stream.
-    pub fn ingest_events(&self, events: u64) {
-        self.ingest_events.fetch_add(events, Ordering::Relaxed);
-    }
-
-    /// Counts one refused ingest batch.
-    pub fn ingest_rejected(&self) {
-        self.ingest_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one sealed watermark.
-    pub fn seal(&self) {
-        self.seals_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one seal that panicked before commit.
-    pub fn seal_failure(&self) {
-        self.seal_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one accepted `/v1/stream` subscription.
-    pub fn sse_client(&self) {
-        self.sse_clients.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one SSE frame written to a stream client.
-    pub fn sse_frame(&self) {
-        self.sse_frames.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one sealed batch appended to the durable store.
-    pub fn store_append(&self) {
-        self.store_appends.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one failed store append (the store is now degraded).
-    pub fn store_append_failure(&self) {
-        self.store_append_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one checkpoint written to the durable store.
-    pub fn store_checkpoint(&self) {
-        self.store_checkpoints.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one failed or panicked checkpoint write.
-    pub fn store_checkpoint_failure(&self) {
-        self.store_checkpoint_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records what startup recovery replayed from the durable store.
-    pub fn store_recovered(&self, seals: u64, events: u64) {
-        self.store_recovered_seals.fetch_add(seals, Ordering::Relaxed);
-        self.store_recovered_events.fetch_add(events, Ordering::Relaxed);
-    }
-
-    /// Counts one sealed batch fetched from the leader and applied,
-    /// plus the bytes it came in as.
-    pub fn sync_fetched(&self, bytes: u64) {
-        self.sync_segments_fetched.fetch_add(1, Ordering::Relaxed);
-        self.sync_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Counts one failed sync attempt that will be retried.
-    pub fn sync_retry(&self) {
-        self.sync_retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one fetched batch rejected by CRC or fingerprint check.
-    pub fn fingerprint_reject(&self) {
-        self.fingerprint_rejects.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one self-promotion to leader.
-    pub fn promotion(&self) {
-        self.promotions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one step-down to follower under a higher epoch.
-    pub fn demotion(&self) {
-        self.demotions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one message fenced off for carrying a stale epoch.
-    pub fn epoch_rejection(&self) {
-        self.epoch_rejections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one SSE-triggered immediate sync poll.
-    pub fn sync_nudge(&self) {
-        self.sync_nudges.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one scenario comparison computed end to end.
-    pub fn scenario_run(&self) {
-        self.scenario_runs.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records one experiment run's wall-clock latency.
     pub fn observe_latency(&self, experiment: &str, ms: f64) {
-        let mut map = self.latency.lock().expect("metrics lock");
+        let mut map = self.latency_ms.lock().expect("metrics lock");
         map.entry(experiment.to_string()).or_default().observe(ms);
-    }
-
-    /// Copies every counter into a serialisable snapshot.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            requests_total: self.requests_total.load(Ordering::Relaxed),
-            responses_5xx: self.responses_5xx.load(Ordering::Relaxed),
-            shed_total: self.shed_total.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            faults_injected: self.faults_injected.load(Ordering::Relaxed),
-            panics_recovered: self.panics_recovered.load(Ordering::Relaxed),
-            deadlines_exceeded: self.deadlines_exceeded.load(Ordering::Relaxed),
-            poison_rejected: self.poison_rejected.load(Ordering::Relaxed),
-            requests_rejected: self.requests_rejected.load(Ordering::Relaxed),
-            drain_rejected: self.drain_rejected.load(Ordering::Relaxed),
-            drain_abandoned_jobs: self.drain_abandoned_jobs.load(Ordering::Relaxed),
-            ingest_batches: self.ingest_batches.load(Ordering::Relaxed),
-            ingest_events: self.ingest_events.load(Ordering::Relaxed),
-            ingest_rejected: self.ingest_rejected.load(Ordering::Relaxed),
-            seals_total: self.seals_total.load(Ordering::Relaxed),
-            seal_failures: self.seal_failures.load(Ordering::Relaxed),
-            sse_clients: self.sse_clients.load(Ordering::Relaxed),
-            sse_frames: self.sse_frames.load(Ordering::Relaxed),
-            store_appends: self.store_appends.load(Ordering::Relaxed),
-            store_append_failures: self.store_append_failures.load(Ordering::Relaxed),
-            store_checkpoints: self.store_checkpoints.load(Ordering::Relaxed),
-            store_checkpoint_failures: self.store_checkpoint_failures.load(Ordering::Relaxed),
-            store_recovered_seals: self.store_recovered_seals.load(Ordering::Relaxed),
-            store_recovered_events: self.store_recovered_events.load(Ordering::Relaxed),
-            sync_segments_fetched: self.sync_segments_fetched.load(Ordering::Relaxed),
-            sync_bytes: self.sync_bytes.load(Ordering::Relaxed),
-            sync_retries: self.sync_retries.load(Ordering::Relaxed),
-            fingerprint_rejects: self.fingerprint_rejects.load(Ordering::Relaxed),
-            promotions: self.promotions.load(Ordering::Relaxed),
-            demotions: self.demotions.load(Ordering::Relaxed),
-            epoch_rejections: self.epoch_rejections.load(Ordering::Relaxed),
-            sync_nudges: self.sync_nudges.load(Ordering::Relaxed),
-            scenario_runs: self.scenario_runs.load(Ordering::Relaxed),
-            by_endpoint: self.by_endpoint.lock().expect("metrics lock").clone(),
-            faults_by_point: self.faults_by_point.lock().expect("metrics lock").clone(),
-            latency_ms: self.latency.lock().expect("metrics lock").clone(),
-        }
     }
 }
 
@@ -399,92 +191,24 @@ impl Metrics {
 mod tests {
     use super::*;
 
+    /// The `/v1/metrics` body for the counts in `metrics_body_is_pinned`.
+    const GOLDEN: &str = r#"{"requests_total":1,"responses_5xx":0,"shed_total":0,"cache_hits":1,"cache_misses":0,"faults_injected":1,"panics_recovered":0,"deadlines_exceeded":0,"poison_rejected":0,"requests_rejected":0,"drain_rejected":0,"drain_abandoned_jobs":0,"ingest_batches":0,"ingest_events":26,"ingest_rejected":0,"seals_total":0,"seal_failures":0,"sse_clients":0,"sse_frames":0,"store_appends":0,"store_append_failures":0,"store_checkpoints":0,"store_checkpoint_failures":0,"store_recovered_seals":0,"store_recovered_events":0,"sync_segments_fetched":0,"sync_bytes":0,"sync_retries":0,"fingerprint_rejects":0,"promotions":0,"demotions":0,"epoch_rejections":0,"sync_nudges":0,"scenario_runs":0,"by_endpoint":{"/v1/metrics":1},"faults_by_point":{"slow_read":1},"latency_ms":{"table1":{"buckets":[0,1,0,0,0,0,0,0],"count":1,"sum_ms":3.25}}}"#;
+
     #[test]
-    fn counters_accumulate() {
+    fn request_and_fault_tally_their_maps() {
         let m = Metrics::new();
         m.request("/healthz");
         m.request("/analyze");
         m.request("/analyze");
-        m.cache_hit();
-        m.cache_miss();
-        m.shed();
-        let s = m.snapshot();
-        assert_eq!(s.requests_total, 3);
-        assert_eq!(s.by_endpoint["/analyze"], 2);
-        assert_eq!(s.cache_hits, 1);
-        assert_eq!(s.cache_misses, 1);
-        assert_eq!(s.shed_total, 1);
-        assert_eq!(s.responses_5xx, 0, "the HTTP layer owns the 5xx count");
-    }
-
-    #[test]
-    fn resilience_counters_accumulate() {
-        let m = Metrics::new();
         m.fault("slow_read");
         m.fault("slow_read");
         m.fault("trunc_write");
-        m.panic_recovered();
-        m.deadline_exceeded();
-        m.poison_rejection();
-        m.request_rejected();
-        m.drain_rejection();
-        m.drain_abandoned(3);
-        let s = m.snapshot();
-        assert_eq!(s.faults_injected, 3);
-        assert_eq!(s.faults_by_point["slow_read"], 2);
-        assert_eq!(s.faults_by_point["trunc_write"], 1);
-        assert_eq!(s.panics_recovered, 1);
-        assert_eq!(s.deadlines_exceeded, 1);
-        assert_eq!(s.poison_rejected, 1);
-        assert_eq!(s.requests_rejected, 1);
-        assert_eq!(s.drain_rejected, 1);
-        assert_eq!(s.drain_abandoned_jobs, 3);
-    }
-
-    #[test]
-    fn ingest_and_stream_counters_accumulate() {
-        let m = Metrics::new();
-        m.ingest_batch();
-        m.ingest_events(26);
-        m.ingest_rejected();
-        m.seal();
-        m.seal();
-        m.seal_failure();
-        m.sse_client();
-        m.sse_frame();
-        m.sse_frame();
-        m.sse_frame();
-        let s = m.snapshot();
-        assert_eq!(s.ingest_batches, 1);
-        assert_eq!(s.ingest_events, 26);
-        assert_eq!(s.ingest_rejected, 1);
-        assert_eq!(s.seals_total, 2);
-        assert_eq!(s.seal_failures, 1);
-        assert_eq!(s.sse_clients, 1);
-        assert_eq!(s.sse_frames, 3);
-    }
-
-    #[test]
-    fn sync_counters_accumulate() {
-        let m = Metrics::new();
-        m.sync_fetched(1024);
-        m.sync_fetched(512);
-        m.sync_retry();
-        m.fingerprint_reject();
-        m.promotion();
-        m.demotion();
-        m.epoch_rejection();
-        m.epoch_rejection();
-        m.sync_nudge();
-        let s = m.snapshot();
-        assert_eq!(s.sync_segments_fetched, 2);
-        assert_eq!(s.sync_bytes, 1536);
-        assert_eq!(s.sync_retries, 1);
-        assert_eq!(s.fingerprint_rejects, 1);
-        assert_eq!(s.promotions, 1);
-        assert_eq!(s.demotions, 1);
-        assert_eq!(s.epoch_rejections, 2);
-        assert_eq!(s.sync_nudges, 1);
+        assert_eq!(m.requests_total.get(), 3);
+        assert_eq!(m.by_endpoint.lock().unwrap()["/analyze"], 2);
+        assert_eq!(m.faults_injected.get(), 3);
+        let faults = m.faults_by_point.lock().unwrap();
+        assert_eq!((faults["slow_read"], faults["trunc_write"]), (2, 1));
+        assert_eq!(m.responses_5xx.get(), 0, "the HTTP layer owns the 5xx count");
     }
 
     #[test]
@@ -501,13 +225,14 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_serialises_to_json() {
+    fn metrics_body_is_pinned() {
         let m = Metrics::new();
-        m.request("/metrics");
-        m.observe_latency("table1", 3.2);
-        let json = serde_json::to_string(&m.snapshot()).unwrap();
-        let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.requests_total, 1);
-        assert_eq!(back.latency_ms["table1"].count, 1);
+        m.request("/v1/metrics");
+        m.cache_hits.inc();
+        m.ingest_events.add(26);
+        m.fault("slow_read");
+        m.observe_latency("table1", 3.25);
+        let json = serde_json::to_string(&m).unwrap();
+        assert_eq!(json, GOLDEN);
     }
 }

@@ -757,14 +757,14 @@ fn serve(args: &[String]) -> ExitCode {
                 ),
                 None => eprintln!("drained ({} job(s) abandoned)", abandoned.len()),
             }
-            let m = drain_probe.metrics().snapshot();
+            let m = drain_probe.metrics();
             eprintln!(
                 "replication [{}]: sync_segments_fetched {} sync_bytes {} sync_retries {} fingerprint_rejects {}",
                 drain_probe.role().name(),
-                m.sync_segments_fetched,
-                m.sync_bytes,
-                m.sync_retries,
-                m.fingerprint_rejects,
+                m.sync_segments_fetched.get(),
+                m.sync_bytes.get(),
+                m.sync_retries.get(),
+                m.fingerprint_rejects.get(),
             );
             ExitCode::SUCCESS
         }

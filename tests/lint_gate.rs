@@ -249,17 +249,31 @@ fn r6_fires_on_fixture_and_drop_silences_it() {
     );
 }
 
+/// R7 messages from linting a fixture directory (its `metrics.rs` against
+/// the `DESIGN.md` beside it).
+fn r7_on_fixture_dir(name: &str) -> Vec<String> {
+    let report = run(&Config::fixture_dir(fixture(name))).expect("R7 fixture lints");
+    report.active().filter(|f| f.rule == "counter-drift").map(|f| f.message.clone()).collect()
+}
+
 #[test]
 fn r7_fires_one_finding_per_drift_direction() {
-    let report = lint_fixture("counter_drift.rs");
-    let r7: Vec<&str> =
-        report.active().filter(|f| f.rule == "counter-drift").map(|f| f.message.as_str()).collect();
+    let r7 = r7_on_fixture_dir("counter_drift");
     assert_eq!(r7.len(), 3, "three seeded drift directions: {r7:?}");
-    assert!(r7.iter().any(|m| m.contains("never incremented")), "{r7:?}");
-    assert!(r7.iter().any(|m| m.contains("no MetricsSnapshot mirror")), "{r7:?}");
-    assert!(r7.iter().any(|m| m.contains("mirrors no declared counter")), "{r7:?}");
+    assert!(r7.iter().any(|m| m.contains("`dropped` is declared but never incremented")), "{r7:?}");
+    assert!(r7.iter().any(|m| m.contains("`sealed` is missing from the DESIGN")), "{r7:?}");
+    assert!(r7.iter().any(|m| m.contains("documents `ghost`")), "{r7:?}");
     // The fully-wired counter stays silent.
     assert!(!r7.iter().any(|m| m.contains("`served`")), "{r7:?}");
+}
+
+/// A DESIGN table beside a `Metrics` with no `Counter` field reports
+/// every row: a counter scan that matches nothing must not pass silently.
+#[test]
+fn r7_reports_every_row_when_no_counter_is_found() {
+    let r7 = r7_on_fixture_dir("counter_drift_untyped");
+    assert_eq!(r7.len(), 2, "one finding per DESIGN row: {r7:?}");
+    assert!(r7.iter().all(|m| m.contains("which is not a declared counter")), "{r7:?}");
 }
 
 #[test]
